@@ -128,12 +128,19 @@ def cmd_good_set(args) -> int:
     return EXIT_OK
 
 
+def _parse_residues(text: str, name: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"{name} needs comma-separated integers, got {text!r}") from exc
+
+
 def cmd_solution_eval(args) -> int:
     p = _load_poly(args)
     f = datum_mod.datum_coefficients(args.n, p.dim)
-    b = _parse_vector(args.b, "--b")
+    b = _parse_residues(args.b, "--b")
     delta = _parse_vector(args.delta, "--delta") if args.delta else (0.0,) * p.dim
-    pt = datum_mod.RationalPoint(b=tuple(int(v) for v in b), q=args.q, delta=delta)
+    pt = datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
     u = datum_mod.evaluate_solution(p, f, pt, unsafe_float=args.unsafe_float)
     _json_out({
         "config": _config(args, p), "re": u.real, "im": u.imag, "modulus": abs(u),
@@ -144,7 +151,7 @@ def cmd_solution_eval(args) -> int:
 def cmd_decompose(args) -> int:
     p = _load_poly(args)
     f = datum_mod.datum_coefficients(args.n, p.dim)
-    b = tuple(int(v) for v in _parse_vector(args.b, "--b"))
+    b = _parse_residues(args.b, "--b")
     delta = _parse_vector(args.delta, "--delta") if args.delta else (0.0,) * p.dim
     pt = datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
     table = weyl.weyl_table(p, args.q)
@@ -173,24 +180,33 @@ def cmd_build_xn(args) -> int:
     return EXIT_OK
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from exc
+
+
 def _read_xn(path: str) -> divset.DivergenceSet:
-    with open(path) as fh:
-        text = fh.read()
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith("# "):
         raise InputError(f"{path}: missing JSON header comment")
-    cfg = json.loads(lines[0][2:])
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.startswith("#")]
-    reader = csv.DictReader(body)
-    balls = []
-    d = int(cfg["d"])
-    for rec in reader:
-        balls.append((int(rec["q"]), tuple(int(rec[f"b{i}"]) for i in range(d))))
-    p = poly.parse_polynomial(json.dumps(cfg["poly"])) if "poly" in cfg else None
-    return divset.from_balls(
-        N=int(cfg["n"]), d=d, rho=float(cfg["rho"]), c=float(cfg["c"]),
-        Q=int(cfg["Q"]), balls=balls, polynomial=p,
-    )
+    try:
+        cfg = json.loads(lines[0][2:])
+        body = [ln for ln in lines[1:] if ln.strip() and not ln.startswith("#")]
+        reader = csv.DictReader(body)
+        balls = []
+        d = int(cfg["d"])
+        for rec in reader:
+            balls.append((int(rec["q"]), tuple(int(rec[f"b{i}"]) for i in range(d))))
+        p = poly.parse_polynomial(json.dumps(cfg["poly"])) if "poly" in cfg else None
+        params = dict(N=int(cfg["n"]), d=d, rho=float(cfg["rho"]), c=float(cfg["c"]), Q=int(cfg["Q"]))
+    except InputError:
+        raise
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"{path}: malformed divergence-set file: {exc!r}") from exc
+    return divset.from_balls(balls=balls, polynomial=p, **params)
 
 
 def cmd_measure_xn(args) -> int:
@@ -224,8 +240,7 @@ def cmd_ratio_experiment(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    with open(args.infile) as fh:
-        rows = experiment.rows_from_csv(fh.read())
+    rows = experiment.rows_from_csv(_read_text(args.infile))
     res = experiment.fit_exponent(rows)
     _json_out({
         "config": {"version": __version__, "in": args.infile},

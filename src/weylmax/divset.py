@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .numtheory import close_fraction_pairs, primes_in_band
+from .numtheory import close_fraction_pairs, is_prime, primes_in_band
 from .poly import IntPolynomial
 from .weyl import GoodSet, good_set_for, weyl_sum_direct
 
@@ -34,7 +34,6 @@ class DivergenceSet:
     balls_by_q: dict[int, np.ndarray]  # q -> (m, d) residue array, lex sorted
     polynomial: IntPolynomial | None = None
     good_sets: dict[int, GoodSet] | None = None
-    _member_sets: dict[int, frozenset] = field(default_factory=dict, repr=False)
 
     @property
     def ball_count(self) -> int:
@@ -51,11 +50,6 @@ class DivergenceSet:
             for row in self.balls_by_q[q]:
                 out.append((q, tuple(int(v) for v in row)))
         return out
-
-    def member_set(self, q: int) -> frozenset:
-        if q not in self._member_sets:
-            self._member_sets[q] = frozenset(map(tuple, self.balls_by_q[q].tolist()))
-        return self._member_sets[q]
 
 
 @dataclass(frozen=True)
@@ -149,12 +143,14 @@ def overlap_pair_count(x: DivergenceSet) -> int:
             shifted = (arr + np.array(combo, dtype=np.int64)) % q
             ordered += int(np.isin(_encode(shifted, q), enc_sorted).sum())
         total += (ordered + m) // 2
+    # local, so the sets are freed before the caller's next stage
+    members = {q: frozenset(map(tuple, x.balls_by_q[q].tolist())) for q in qs}
     for i, q in enumerate(qs):
-        set_q = x.member_set(q)
+        set_q = members[q]
         if not set_q:
             continue
         for qp in qs[i + 1 :]:
-            set_qp = x.member_set(qp)
+            set_qp = members[qp]
             if not set_qp:
                 continue
             candidates = close_fraction_pairs(q, qp, tau * q * qp)
@@ -296,12 +292,20 @@ def from_balls(
     balls: list[tuple[int, tuple[int, ...]]],
     polynomial: IntPolynomial | None = None,
 ) -> DivergenceSet:
-    """Rebuild a DivergenceSet from a stored ball list (CLI read-back)."""
+    """Rebuild a DivergenceSet from a stored ball list (CLI read-back).
+
+    Every modulus must be prime and every residue must lie in [0, q).
+    """
     grouped: dict[int, list] = {}
     for q, b in balls:
         grouped.setdefault(int(q), []).append(tuple(int(v) for v in b))
-    by_q = {
-        q: np.array(sorted(set(rows)), dtype=np.int64).reshape(len(set(rows)), d)
-        for q, rows in grouped.items()
-    }
+    by_q = {}
+    for q, rows in grouped.items():
+        if not is_prime(q):
+            raise InputError(f"ball modulus q={q} is not prime")
+        uniq = sorted(set(rows))
+        arr = np.array(uniq, dtype=np.int64).reshape(len(uniq), d)
+        if arr.min() < 0 or arr.max() >= q:
+            raise InputError(f"residues for q={q} must lie in [0, {q}), got range [{arr.min()}, {arr.max()}]")
+        by_q[q] = arr
     return DivergenceSet(N=N, d=d, rho=rho, c=c, Q=Q, balls_by_q=by_q, polynomial=polynomial)

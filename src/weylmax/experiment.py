@@ -18,15 +18,14 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .datum import Datum, datum_coefficients, sobolev_norm_sq
-from .decomp import fold_axis
+from .decomp import fold_axis  # noqa: F401 -- re-exported; perfbench/tracer.py wraps this binding
 from .divset import DivergenceSet, build_divergence_set, measure
-from .errors import InputError, ResourceError
+from .errors import InputError, InvariantError, ResourceError
 from .poly import IntPolynomial
 from .weyl import phase_residues, roots_of_unity
 
@@ -85,11 +84,87 @@ class FitResult:
     log_corrected_slope: float
 
 
-def _grouped(chosen: list[tuple[int, tuple[int, ...]]]) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
-    groups: dict[int, list] = {}
-    for pos, (q, b) in enumerate(chosen):
-        groups.setdefault(q, []).append((pos, b))
-    return groups
+TAYLOR_TERMS = 20  # K: moments per axis in the perturbed fold
+TAIL_REL_TOL = 1e-12  # certified tail / smallest shifted value
+_CONTRACT_ENTRIES = 1 << 20  # per-chunk size of the d >= 2 partial contraction
+
+
+def _sample(x: DivergenceSet, sample_budget: int, rng) -> list[tuple[int, slice, np.ndarray]]:
+    """The sampled balls as (q, positions in the draw, residue rows) per prime.
+
+    The flat index runs over the balls in canonical order (primes
+    ascending, residues lex), so the draw picks the same balls as
+    indexing the full ball list would, without materializing it.
+    """
+    primes = x.primes
+    counts = np.array([x.balls_by_q[q].shape[0] for q in primes], dtype=np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        raise InputError("divergence set has no balls")
+    if sample_budget < 1:
+        raise InputError(f"sample budget must be positive, got {sample_budget}")
+    if total > sample_budget:
+        flat = np.sort(rng.choice(total, size=sample_budget, replace=False))
+    else:
+        flat = np.arange(total)
+    starts = np.cumsum(counts) - counts
+    cuts = np.searchsorted(flat, np.append(starts, total))
+    return [
+        (q, slice(lo, hi), x.balls_by_q[q][flat[lo:hi] - start])
+        for q, start, lo, hi in zip(primes, starts, cuts[:-1].tolist(), cuts[1:].tolist())
+        if hi > lo
+    ]
+
+
+def _taylor_coeffs(delta: np.ndarray, N: int) -> np.ndarray:
+    """(m, K) array of (2 pi i delta N)^j / j! for j < K."""
+    step = (2j * np.pi * N) * delta[:, None] / np.arange(1, TAYLOR_TERMS)
+    return np.cumprod(np.hstack([np.ones((len(delta), 1), dtype=complex), step]), axis=1)
+
+
+def _moments(f: Datum, q: int) -> np.ndarray:
+    """(K, q) array M[j, r] = sum over n = r (mod q) of psi(n) (n/N)^j.
+
+    Row 0 is the delta = 0 fold, accumulated in the same order as
+    fold_axis so it matches that fold bit for bit.
+    """
+    idx = (f.axis_n % q).astype(np.int64)
+    t = f.axis_n / f.N
+    w = f.axis_psi.copy()
+    out = np.empty((TAYLOR_TERMS, q))
+    for j in range(TAYLOR_TERMS):
+        out[j] = np.bincount(idx, weights=w, minlength=q)
+        w *= t
+    return out
+
+
+def _shifted_values(
+    mom: np.ndarray, pg: np.ndarray, rows: np.ndarray, deltas: np.ndarray, N: int
+) -> np.ndarray:
+    """|sum_r prod_i Z_i(r_i) e((b.r + P(r))/q)| for each ball of one prime,
+    with the perturbed axis folds Z_i = sum_j c_j(delta_i) M[j] and exact
+    integer-reduced phases for b.r."""
+    q = mom.shape[1]
+    d = rows.shape[1]
+    if d == 1:
+        # U_j(b) = sum_r M_j(r) e((b r + P(r))/q) for every b at once
+        u = np.fft.ifft(mom * pg, axis=1) * float(q)
+        return np.abs(np.sum(_taylor_coeffs(deltas[:, 0], N) * u[:, rows[:, 0]].T, axis=1))
+    roots = roots_of_unity(q)
+    r = np.arange(q, dtype=np.int64)
+    out = np.empty(len(rows))
+    step = max(1, _CONTRACT_ENTRIES // q ** (d - 1))
+    for lo in range(0, len(rows), step):
+        sl = slice(lo, lo + step)
+        axes = [
+            (_taylor_coeffs(deltas[sl, i], N) @ mom) * roots[np.multiply.outer(rows[sl, i], r) % q]
+            for i in range(d)
+        ]
+        acc = axes[0] @ pg.reshape(q, -1)
+        for z in axes[1:]:
+            acc = np.einsum("mr,mrk->mk", z, acc.reshape(len(z), q, -1))
+        out[sl] = np.abs(acc[:, 0])
+    return out
 
 
 def solution_scan(
@@ -107,62 +182,46 @@ def solution_scan(
     reported sup_lb is the minimum over sampled balls, a lower bound for
     the maximal function at each sampled point.
 
-    Per prime, the delta = 0 values for all residues come from a single
-    FFT of the folded coefficients against the phase grid e(P(r)/q);
-    the perturbed values re-fold with the phase attached.
+    Per prime, the K Taylor moments M[j] of the folded coefficients are
+    computed once. The delta = 0 values for all residues come from a
+    single FFT of M[0] against the phase grid e(P(r)/q); a perturbed
+    axis fold is sum_j (2 pi i delta_i N)^j / j! M[j], whose truncation
+    error is certified below. threads is accepted for compatibility and
+    ignored: the batched scan has no per-ball work left to spread.
     """
-    balls = x.ball_list()
-    if not balls:
-        raise InputError("divergence set has no balls")
-    if sample_budget < 1:
-        raise InputError(f"sample budget must be positive, got {sample_budget}")
     rng = np.random.default_rng(seed)
-    if len(balls) > sample_budget:
-        idx = np.sort(rng.choice(len(balls), size=sample_budget, replace=False))
-        chosen = [balls[int(i)] for i in idx]
-    else:
-        chosen = balls
+    groups = _sample(x, sample_budget, rng)
+    n_chosen = groups[-1][1].stop
     budget = x.rho / (f.d * f.N)
-    deltas = rng.uniform(-budget, budget, size=(len(chosen), f.d))
+    deltas = rng.uniform(-budget, budget, size=(n_chosen, f.d))
 
-    center_vals = np.empty(len(chosen))
-    shifted_vals = np.empty(len(chosen))
-    groups = _grouped(chosen)
-    cache: dict[int, np.ndarray] = {}
-    for q, items in groups.items():
+    center_vals = np.empty(n_chosen)
+    shifted_vals = np.empty(n_chosen)
+    for q, pos, rows in groups:
         pg = roots_of_unity(q)[phase_residues(poly, q)]
-        cache[q] = pg
-        z0 = fold_axis(f, q, 0.0)
-        w = z0
+        mom = _moments(f, q)
+        w = mom[0]
         for _ in range(f.d - 1):
-            w = np.multiply.outer(w, z0)
+            w = np.multiply.outer(w, mom[0])
         u_all = np.fft.ifftn(w * pg) * float(q) ** f.d
-        for pos, b in items:
-            center_vals[pos] = abs(u_all[b])
+        center_vals[pos] = np.abs(u_all[tuple(rows.T)])
+        shifted_vals[pos] = _shifted_values(mom, pg, rows, deltas[pos], f.N)
 
-    def eval_shifted(pos: int, q: int, b: tuple[int, ...]) -> float:
-        z = fold_axis(f, q, deltas[pos, 0])
-        for i in range(1, f.d):
-            z = np.multiply.outer(z, fold_axis(f, q, deltas[pos, i]))
-        idx_grid = np.zeros((q,) * f.d, dtype=np.int64)
-        for i, bi in enumerate(b):
-            if bi:
-                r = np.arange(q, dtype=np.int64).reshape((1,) * i + (q,) + (1,) * (f.d - 1 - i))
-                idx_grid = (idx_grid + bi * r) % q
-        return float(abs(np.sum(z * cache[q] * roots_of_unity(q)[idx_grid])))
-
-    tasks = [(pos, q, b) for q, items in groups.items() for pos, b in items]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for (pos, _, _), val in zip(tasks, ex.map(lambda t: eval_shifted(*t), tasks)):
-                shifted_vals[pos] = val
-    else:
-        for pos, q, b in tasks:
-            shifted_vals[pos] = eval_shifted(pos, q, b)
+    # |e(theta) - Taylor_K(theta)| <= eta for |theta| <= x_max on every axis
+    x_max = 2.0 * np.pi * budget * float(f.axis_n.max())
+    eta = x_max**TAYLOR_TERMS * math.exp(x_max) / math.factorial(TAYLOR_TERMS)
+    l1 = float(f.axis_psi.sum())
+    tail = l1**f.d * math.expm1(f.d * math.log1p(eta))
+    if tail > TAIL_REL_TOL * float(shifted_vals.min()):
+        raise InvariantError(
+            f"Taylor tail bound {tail:.3e} exceeds {TAIL_REL_TOL} of the smallest "
+            f"shifted value {float(shifted_vals.min()):.3e} (K = {TAYLOR_TERMS})"
+        )
 
     values = np.minimum(center_vals, shifted_vals)
     imin = int(np.argmin(values))
-    q_min, b_min = chosen[imin]
+    q_min, pos, rows = next(g for g in groups if g[1].start <= imin < g[1].stop)
+    b_min = tuple(int(v) for v in rows[imin - pos.start])
     delta_min = (0.0,) * f.d if center_vals[imin] <= shifted_vals[imin] else tuple(deltas[imin])
     qs = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
     return ScanResult(
@@ -172,7 +231,7 @@ def solution_scan(
         witness_delta=delta_min,
         max_value=float(values.max()),
         quantiles={"min": qs[0], "q25": qs[1], "median": qs[2], "q75": qs[3], "max": qs[4]},
-        n_sampled=len(chosen),
+        n_sampled=n_chosen,
     )
 
 
@@ -284,7 +343,7 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
                 ratio=ratio, wall_ms=float(rec["wall_ms"]),
                 failed=not math.isfinite(ratio),
             ))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed experiment CSV row {rec!r}: {exc}") from exc
     return out
 

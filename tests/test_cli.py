@@ -137,3 +137,51 @@ def test_dimension_degree_validation(capsys):
     assert code == 2
     code, _ = run(capsys, "verify-deligne", "--poly", P_SQ, "--q", "7", "--d", "1", "--k", "2")
     assert code == 0
+
+
+def _xn_file(tmp_path, header: str) -> str:
+    path = tmp_path / "xn.csv"
+    path.write_text(header + "\nq,b0\n37,5\n")
+    return str(path)
+
+
+GOOD_HEADER = '# {"Q": 32, "c": 0.5, "d": 1, "n": 1024, "rho": 0.03125}'
+
+
+def test_measure_xn_missing_file_exit_2(capsys, tmp_path):
+    code, _ = run(capsys, "measure-xn", "--in", str(tmp_path / "absent.csv"))
+    assert code == 2
+
+
+def test_measure_xn_header_without_n_exit_2(capsys, tmp_path):
+    assert run(capsys, "measure-xn", "--in", _xn_file(tmp_path, GOOD_HEADER))[0] == 0
+    header = '# {"Q": 32, "c": 0.5, "d": 1, "rho": 0.03125}'
+    code, _ = run(capsys, "measure-xn", "--in", _xn_file(tmp_path, header))
+    assert code == 2
+
+
+def test_measure_xn_malformed_header_exit_2(capsys, tmp_path):
+    code, _ = run(capsys, "measure-xn", "--in", _xn_file(tmp_path, '# {"Q": 32, "c": 0.5,'))
+    assert code == 2
+
+
+def test_measure_xn_invalid_balls_exit_2(capsys, tmp_path):
+    for ball in ("38,5", "37,999", "37,-1"):
+        path = tmp_path / "bad.csv"
+        path.write_text(GOOD_HEADER + "\nq,b0\n" + ball + "\n")
+        code, _ = run(capsys, "measure-xn", "--in", str(path))
+        assert code == 2, ball
+
+
+def test_fit_read_errors_exit_2(capsys, tmp_path):
+    assert run(capsys, "fit", "--in", str(tmp_path / "absent.csv"))[0] == 2
+    short = tmp_path / "short.csv"
+    short.write_text("N,Q,J,measure,measure_err,sup_lb,hs_norm,ratio,wall_ms\n1024,32\n")
+    assert run(capsys, "fit", "--in", str(short))[0] == 2
+
+
+@pytest.mark.parametrize("command", ["solution-eval", "decompose"])
+def test_non_integer_residue_exit_2(capsys, command):
+    base = [command, "--poly", P_SQ, "--n", "256", "--q", "17"]
+    assert run(capsys, *base, "--b", "3")[0] == 0
+    assert run(capsys, *base, "--b", "1.7")[0] == 2

@@ -196,3 +196,15 @@ def test_revalidate_catches_bad_ball():
     )
     with pytest.raises(InputError):
         revalidate_members(bad, fraction=1.0, seed=0)
+
+
+def test_from_balls_rejects_invalid_balls():
+    base = dict(N=1024, d=1, rho=1 / 32, c=0.5, Q=32)
+    with pytest.raises(InputError):
+        from_balls(**base, balls=[(38, (5,))])
+    with pytest.raises(InputError):
+        from_balls(**base, balls=[(37, (5,)), (37, (999,))])
+    with pytest.raises(InputError):
+        from_balls(**base, balls=[(37, (-1,))])
+    with pytest.raises(InputError):
+        from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=[(103, (5, 103))])

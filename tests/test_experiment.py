@@ -181,3 +181,66 @@ def test_monotone_positive_slope_d2(k):
     assert all(not r.failed for r in rows)
     res = fit_exponent(rows)
     assert res.slope > 0
+
+
+@pytest.mark.parametrize("d,n", [(1, 2048), (2, 512)])
+def test_scan_shifted_values_match_exact_refold(d, n):
+    import numpy as np
+
+    from weylmax import experiment
+    from weylmax.decomp import fold, folded_eval
+    from weylmax.weyl import phase_residues, roots_of_unity
+
+    p = family_diagonal(d, 2)
+    f = datum_coefficients(n, d)
+    x = build_divergence_set(p, n)
+    rng = np.random.default_rng(1)
+    budget = x.rho / (d * n)
+    worst = 0.0
+    for q in x.primes[::4]:
+        rows = x.balls_by_q[q][:: max(1, len(x.balls_by_q[q]) // 8)]
+        deltas = rng.uniform(-budget, budget, size=rows.shape)
+        pg = roots_of_unity(q)[phase_residues(p, q)]
+        got = experiment._shifted_values(experiment._moments(f, q), pg, rows, deltas, n)
+        for row, delta, val in zip(rows, deltas, got):
+            exact = abs(folded_eval(fold(f, q, delta), p, row))
+            worst = max(worst, abs(val - exact) / exact)
+    assert worst < 1e-12
+
+
+def test_scan_flat_sampling_matches_ball_list():
+    import numpy as np
+
+    from weylmax import experiment
+
+    x = build_divergence_set(family_diagonal(2, 2), 512)
+    balls = x.ball_list()
+    for budget in (1, 700, len(balls), 10 * len(balls)):
+        groups = experiment._sample(x, budget, np.random.default_rng(4))
+        got = [(q, tuple(int(v) for v in row)) for q, _, rows in groups for row in rows]
+        if budget < len(balls):
+            idx = np.sort(np.random.default_rng(4).choice(len(balls), size=budget, replace=False))
+            assert got == [balls[int(i)] for i in idx]
+        else:
+            assert got == balls
+        assert [g[1].start for g in groups[1:]] == [g[1].stop for g in groups[:-1]]
+
+
+def test_scan_small_taylor_order_trips_tail_check(monkeypatch):
+    from weylmax import experiment
+    from weylmax.errors import InvariantError
+
+    f = datum_coefficients(1024, 1)
+    x = build_divergence_set(P_SQ, 1024)
+    solution_scan(P_SQ, f, x, sample_budget=50, seed=0)
+    monkeypatch.setattr(experiment, "TAYLOR_TERMS", 3)
+    with pytest.raises(InvariantError):
+        solution_scan(P_SQ, f, x, sample_budget=50, seed=0)
+
+
+def test_scan_result_fields_are_python_scalars():
+    f = datum_coefficients(1024, 1)
+    x = build_divergence_set(P_SQ, 1024)
+    scan = solution_scan(P_SQ, f, x, sample_budget=50, seed=0)
+    assert type(scan.n_sampled) is int and type(scan.witness_q) is int
+    assert all(type(v) is int for v in scan.witness_b)
