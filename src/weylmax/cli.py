@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -189,22 +190,41 @@ def _read_text(path: str) -> str:
 
 
 def _read_xn(path: str) -> divset.DivergenceSet:
-    lines = _read_text(path).splitlines()
-    if not lines or not lines[0].startswith("# "):
+    text = _read_text(path)
+    head, _, _ = text.partition("\n")
+    if not head.startswith("# "):
         raise InputError(f"{path}: missing JSON header comment")
+    # the column header is the first line that is neither blank nor a comment
+    pos, columns = len(head) + 1, None
+    while columns is None and pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line = text[pos:end]
+        pos = end + 1
+        if line.strip() and not line.startswith("#"):
+            columns = [name.strip() for name in line.split(",")]
     try:
-        cfg = json.loads(lines[0][2:])
-        body = [ln for ln in lines[1:] if ln.strip() and not ln.startswith("#")]
-        reader = csv.DictReader(body)
-        balls = []
+        cfg = json.loads(head[2:])
         d = int(cfg["d"])
-        for rec in reader:
-            balls.append((int(rec["q"]), tuple(int(rec[f"b{i}"]) for i in range(d))))
         p = poly.parse_polynomial(json.dumps(cfg["poly"])) if "poly" in cfg else None
         params = dict(N=int(cfg["n"]), d=d, rho=float(cfg["rho"]), c=float(cfg["c"]), Q=int(cfg["Q"]))
+        balls = []
+        if columns is not None:
+            if d >= len(columns):  # before the column names, so a huge d stays cheap
+                raise InputError(f"{path}: d = {d} needs columns q,b0..b{d - 1}, got {columns}")
+            use = [columns.index(name) for name in ["q"] + [f"b{i}" for i in range(d)]]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header-only body
+                table = np.loadtxt(io.StringIO(text[pos:]), dtype=np.int64, delimiter=",",
+                                   comments="#", ndmin=2)
+            if table.size:
+                if table.shape[1] != len(columns):
+                    raise InputError(f"{path}: rows have {table.shape[1]} fields, "
+                                     f"the column header has {len(columns)}")
+                balls = table[:, use]
     except InputError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: malformed divergence-set file: {exc!r}") from exc
     return divset.from_balls(balls=balls, polynomial=p, **params)
 

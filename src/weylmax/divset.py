@@ -109,11 +109,47 @@ def _same_q_offsets(q: int, tau: float) -> list[int]:
     return sorted(out)
 
 
-def _encode(arr: np.ndarray, q: int) -> np.ndarray:
-    enc = np.zeros(arr.shape[0], dtype=np.int64)
-    for i in range(arr.shape[1]):
-        enc = enc * q + arr[:, i]
+def _encode(arr: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Base-q code of each residue row, written into ``out`` when given."""
+    enc = np.empty(arr.shape[0], dtype=np.int64) if out is None else out
+    enc[:] = arr[:, 0] if arr.shape[1] else 0
+    for i in range(1, arr.shape[1]):
+        enc *= q
+        enc += arr[:, i]
     return enc
+
+
+def _key_index(x: DivergenceSet) -> tuple[dict[int, int], np.ndarray]:
+    """Membership index over all balls: ``(base, keys)``.
+
+    The key of ball (q, b) is ``base[q] + _encode(b, q)``, where
+    ``base[q]`` sums ``q'^d`` over the smaller primes, so keys of
+    different primes never collide. Each prime's rows are lex sorted,
+    hence its codes ascend, and concatenating over ascending primes
+    gives a sorted int64 array without a sort.
+    """
+    base: dict[int, int] = {}
+    keys = np.empty(x.ball_count, dtype=np.int64)
+    offset = start = 0
+    for q in x.primes:
+        arr = x.balls_by_q[q]
+        base[q] = offset
+        seg = _encode(arr, q, out=keys[start : start + arr.shape[0]])
+        seg += offset
+        start += arr.shape[0]
+        offset += q**x.d
+    return base, keys
+
+
+def _is_member(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Boolean mask: which keys occur in the sorted index."""
+    if index.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(index, keys), index.size - 1)
+    return index[pos] == keys
+
+
+_KEY_BATCH = 1 << 20  # cross-prime candidate keys per batched lookup
 
 
 def overlap_pair_count(x: DivergenceSet) -> int:
@@ -123,16 +159,16 @@ def overlap_pair_count(x: DivergenceSet) -> int:
     Same-prime blocks reduce to residue offsets; cross-prime blocks use
     the line-by-line solver for |b*q' - b'*q| <= 2*rho*q*q'/N, with one
     candidate pair per coordinate per admissible line, multiplied across
-    coordinates and filtered by good-set membership.
+    coordinates. The candidate keys of every prime pair are collected
+    first and tested against the key index in one batched lookup, so the
+    cost is O(J) array work plus O(#candidates).
     """
     tau = 2.0 * x.rho / x.N
     total = 0
-    qs = x.primes
+    qs = [q for q in x.primes if x.balls_by_q[q].shape[0]]
     for q in qs:
         arr = x.balls_by_q[q]
         m = arr.shape[0]
-        if m == 0:
-            continue
         offsets = _same_q_offsets(q, tau)
         if offsets == [0]:
             total += m  # only self-pairs
@@ -143,25 +179,29 @@ def overlap_pair_count(x: DivergenceSet) -> int:
             shifted = (arr + np.array(combo, dtype=np.int64)) % q
             ordered += int(np.isin(_encode(shifted, q), enc_sorted).sum())
         total += (ordered + m) // 2
-    # local, so the sets are freed before the caller's next stage
-    members = {q: frozenset(map(tuple, x.balls_by_q[q].tolist())) for q in qs}
+    base, index = _key_index(x)
+    keys_b: list[int] = []
+    keys_bp: list[int] = []
+
+    def hits() -> int:
+        found = _is_member(np.array(keys_b + keys_bp, dtype=np.int64), index)
+        keys_b.clear()
+        keys_bp.clear()
+        return int(found.reshape(2, -1).all(axis=0).sum())
+
     for i, q in enumerate(qs):
-        set_q = members[q]
-        if not set_q:
-            continue
         for qp in qs[i + 1 :]:
-            set_qp = members[qp]
-            if not set_qp:
-                continue
             candidates = close_fraction_pairs(q, qp, tau * q * qp)
-            if not candidates:
-                continue
             for combo in itertools.product(candidates, repeat=x.d):
-                b = tuple(c[0] for c in combo)
-                bp = tuple(c[1] for c in combo)
-                if b in set_q and bp in set_qp:
-                    total += 1
-    return total
+                code = code_p = 0
+                for b, bp in combo:
+                    code = code * q + b
+                    code_p = code_p * qp + bp
+                keys_b.append(base[q] + code)
+                keys_bp.append(base[qp] + code_p)
+                if len(keys_b) >= _KEY_BATCH:  # bounds memory at large rho
+                    total += hits()
+    return total + hits()
 
 
 def _exact_interval_measure(x: DivergenceSet) -> float:
@@ -217,10 +257,11 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
                 dist = np.abs(pts - bb / q)
                 dist = np.minimum(dist, 1.0 - dist)
                 inside = (dist <= radius).all(axis=1)
-                if not inside.any():
+                rows = np.flatnonzero(inside)
+                if rows.size == 0:
                     continue
-                member = np.isin(_encode(bb, q), enc_members[q])
-                hit |= inside & member
+                member = np.isin(_encode(bb[rows], q), enc_members[q])
+                hit[rows[member]] = True
         hits += int(hit.sum())
         done += size
     p = hits / samples
@@ -241,6 +282,13 @@ def measure(
     carries the disjoint-sum upper bound J*(2rho/N)^d and the
     Cauchy-Schwarz lower bound J^2*(2rho/N)^d / (ordered overlap count).
     """
+    if method == "exact":
+        if x.d != 1:
+            raise InputError(f"exact measure supports d = 1 only, got d = {x.d}")
+    elif method != "montecarlo":
+        raise InputError(f"unknown measure method {method!r}")
+    elif samples < 1:
+        raise InputError(f"sample count must be positive, got {samples}")
     j = x.ball_count
     vol = (2.0 * x.rho / x.N) ** x.d
     pairs = overlap_pair_count(x)
@@ -248,14 +296,8 @@ def measure(
     upper = j * vol
     lower = (j * j * vol / ordered) if ordered > 0 else 0.0
     if method == "exact":
-        if x.d != 1:
-            raise InputError(f"exact measure supports d = 1 only, got d = {x.d}")
         est = _exact_interval_measure(x)
         return MeasureResult(est, 0.0, "exact", upper, lower, pairs)
-    if method != "montecarlo":
-        raise InputError(f"unknown measure method {method!r}")
-    if samples < 1:
-        raise InputError(f"sample count must be positive, got {samples}")
     est, err = _montecarlo_measure(x, samples, seed)
     return MeasureResult(
         est, err, "montecarlo", upper, lower, pairs,
@@ -289,23 +331,56 @@ def revalidate_members(x: DivergenceSet, fraction: float = 0.01, seed=0) -> int:
 
 def from_balls(
     N: int, d: int, rho: float, c: float, Q: int,
-    balls: list[tuple[int, tuple[int, ...]]],
+    balls: np.ndarray | list[tuple[int, tuple[int, ...]]],
     polynomial: IntPolynomial | None = None,
 ) -> DivergenceSet:
-    """Rebuild a DivergenceSet from a stored ball list (CLI read-back).
+    """Rebuild a DivergenceSet from stored balls (CLI read-back).
 
-    Every modulus must be prime and every residue must lie in [0, q).
+    ``balls`` is a (J, 1 + d) integer array of rows ``q, b_0 .. b_{d-1}``
+    or a list of ``(q, b)`` pairs. Duplicate balls collapse to one. The
+    parameters must pass the checks of ``build_divergence_set``, every
+    modulus must be prime and every residue must lie in [0, q).
     """
-    grouped: dict[int, list] = {}
-    for q, b in balls:
-        grouped.setdefault(int(q), []).append(tuple(int(v) for v in b))
+    if N < 1 or d < 1:
+        raise InputError(f"need N >= 1 and d >= 1, got N = {N}, d = {d}")
+    if not (math.isfinite(rho) and rho > 0):
+        raise InputError(f"radius constant must be finite and positive, got {rho}")
+    if not 0 < c < 1:
+        raise InputError(f"threshold constant must be in (0,1), got {c}")
+    if not isinstance(balls, np.ndarray):
+        balls = [(q, *b) for q, b in balls]
+    try:
+        rows = np.asarray(balls, dtype=np.int64)
+    except ValueError as exc:
+        raise InputError(f"every ball needs 1 + d = {1 + d} integers: {exc}") from exc
+    if rows.size == 0:
+        rows = rows.reshape(0, 1 + d)
+    if rows.ndim != 2 or rows.shape[1] != 1 + d:
+        raise InputError(f"balls must form a (J, 1 + d) = (J, {1 + d}) array, got shape {rows.shape}")
+    rows = _sorted_unique_rows(rows)
+    primes, starts = np.unique(rows[:, 0], return_index=True)
+    bounds = np.append(starts, len(rows)).tolist()
     by_q = {}
-    for q, rows in grouped.items():
+    for q, lo, hi in zip(primes.tolist(), bounds[:-1], bounds[1:]):
         if not is_prime(q):
             raise InputError(f"ball modulus q={q} is not prime")
-        uniq = sorted(set(rows))
-        arr = np.array(uniq, dtype=np.int64).reshape(len(uniq), d)
+        arr = np.ascontiguousarray(rows[lo:hi, 1:])
         if arr.min() < 0 or arr.max() >= q:
             raise InputError(f"residues for q={q} must lie in [0, {q}), got range [{arr.min()}, {arr.max()}]")
         by_q[q] = arr
     return DivergenceSet(N=N, d=d, rho=rho, c=c, Q=Q, balls_by_q=by_q, polynomial=polynomial)
+
+
+def _sorted_unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows in lex order with duplicates dropped. Input that is already
+    lex sorted (as ``build-xn`` writes it) skips the sort."""
+    if len(rows) < 2:
+        return rows
+    differ = rows[1:] != rows[:-1]
+    first = np.argmax(differ, axis=1)
+    rises = (rows[1:] > rows[:-1])[np.arange(len(first)), first]
+    fresh = differ.any(axis=1)
+    if (fresh & ~rises).any():
+        rows = rows[np.lexsort(rows.T[::-1])]
+        fresh = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[np.r_[True, fresh]]

@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from weylmax.cli import dispatch
+from weylmax import divset
+from weylmax.cli import _read_xn, dispatch
+from weylmax.poly import parse_polynomial
 
 P_SQ = '{"d":1,"terms":[{"e":[2],"c":1}]}'
 P_CUBE = '{"d":1,"terms":[{"e":[3],"c":1}]}'
@@ -185,3 +192,70 @@ def test_non_integer_residue_exit_2(capsys, command):
     base = [command, "--poly", P_SQ, "--n", "256", "--q", "17"]
     assert run(capsys, *base, "--b", "3")[0] == 0
     assert run(capsys, *base, "--b", "1.7")[0] == 2
+
+
+@pytest.mark.parametrize("field, value", [("d", "0"), ("n", "0"), ("rho", '"nan"'),
+                                          ("rho", "-1"), ("c", "1.5")])
+def test_measure_xn_invalid_parameters_exit_2(capsys, tmp_path, field, value):
+    cfg = {"Q": "32", "c": "0.5", "d": "1", "n": "1024", "rho": "0.03125", field: value}
+    header = "# {" + ", ".join(f'"{k}": {v}' for k, v in cfg.items()) + "}"
+    code, out = run(capsys, "measure-xn", "--in", _xn_file(tmp_path, header))
+    assert code == 2 and out == ""
+
+
+def test_measure_xn_validates_before_overlap_count(capsys, tmp_path, monkeypatch):
+    def boom(x):
+        raise AssertionError("overlap count reached")
+
+    monkeypatch.setattr(divset, "overlap_pair_count", boom)
+    path = tmp_path / "xn2.csv"
+    path.write_text('# {"Q": 101, "c": 0.5, "d": 2, "n": 1024, "rho": 0.03125}\nq,b0,b1\n103,5,6\n')
+    assert run(capsys, "measure-xn", "--in", str(path), "--method", "exact")[0] == 2
+    assert run(capsys, "measure-xn", "--in", str(path), "--samples", "0")[0] == 2
+    assert run(capsys, "measure-xn", "--in", str(path), "--method", "bogus")[0] == 2
+
+
+def test_build_xn_read_back_matches_built_set(capsys, tmp_path):
+    poly2 = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
+    path = tmp_path / "xn.csv"
+    assert run(capsys, "build-xn", "--poly", poly2, "--n", "512", "--out", str(path))[0] == 0
+    got = _read_xn(str(path))
+    want = divset.build_divergence_set(parse_polynomial(poly2), 512)
+    assert (got.N, got.d, got.Q, got.rho, got.c) == (want.N, want.d, want.Q, want.rho, want.c)
+    assert list(got.balls_by_q) == list(want.balls_by_q)
+    for q in want.balls_by_q:
+        assert np.array_equal(got.balls_by_q[q], want.balls_by_q[q])
+
+
+@pytest.mark.parametrize("body, j", [("b0,q\n5,37\n", 1), ("q,b0\n37, 5\n 41 ,11\n", 2),
+                                     ("q,b0\n", 0), ("", 0), ("q,b0\n\n# note\n37,5\n", 1)])
+def test_measure_xn_accepted_bodies(capsys, tmp_path, body, j):
+    path = tmp_path / "xn.csv"
+    path.write_text(GOOD_HEADER + "\n" + body)
+    code, out = run(capsys, "measure-xn", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["J"] == j
+
+
+@pytest.mark.parametrize("header, body", [
+    (GOOD_HEADER, "q,b0\n37,5.5\n"),
+    (GOOD_HEADER.replace('"d": 1', '"d": 2'), "q,b0\n37,5\n"),
+    (GOOD_HEADER, "q,b0\n37,5\n41\n"),
+    (GOOD_HEADER, "q,b0\n37,5\n41,11,7\n"),
+    (GOOD_HEADER, "q,b0\n37,5,9\n"),
+    (GOOD_HEADER, "q,b0\nthirty-seven,5\n"),
+])
+def test_measure_xn_malformed_body_exit_2(capsys, tmp_path, header, body):
+    path = tmp_path / "xn.csv"
+    path.write_text(header + "\n" + body)
+    code, out = run(capsys, "measure-xn", "--in", str(path))
+    assert code == 2 and out == ""
+
+
+def test_python_m_weylmax():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "weylmax", "lattice-count", "3", "5", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"count": 4, "bound": 4, "ok": True}

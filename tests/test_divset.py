@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weylmax import divset as dv
 from weylmax.divset import (
     build_divergence_set,
     from_balls,
@@ -208,3 +209,89 @@ def test_from_balls_rejects_invalid_balls():
         from_balls(**base, balls=[(37, (-1,))])
     with pytest.raises(InputError):
         from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=[(103, (5, 103))])
+
+
+def _random_balls(rng, primes, per_prime, d):
+    return [(q, tuple(int(v) for v in rng.integers(0, q, d))) for q in primes for _ in range(per_prime)]
+
+
+def test_overlap_matches_bruteforce_d2_cross_prime():
+    # tau = 2 rho / N = 0.1: same-prime offsets and cross-prime candidates both hit
+    rng = np.random.default_rng(3)
+    balls = _random_balls(rng, (11, 13, 17, 19), 80, 2)
+    x = from_balls(N=1024, d=2, rho=51.2, c=0.5, Q=11, balls=balls)
+    count = overlap_pair_count(x)
+    assert count == _brute_overlap_pairs(x)
+    per_prime = sum(
+        overlap_pair_count(from_balls(N=1024, d=2, rho=51.2, c=0.5, Q=11,
+                                      balls=[b for b in balls if b[0] == q]))
+        for q in x.primes
+    )
+    assert count > per_prime  # the set has cross-prime overlaps
+
+
+def test_overlap_matches_bruteforce_d2_built_window():
+    # the balls of a built d=2 set whose centers lie in [0, 0.08)^2
+    x = build_divergence_set(family_diagonal(2, 2), 512)
+    window = [(q, b) for q, b in x.ball_list() if max(b) < 0.08 * q]
+    y = from_balls(N=x.N, d=2, rho=x.rho, c=x.c, Q=x.Q, balls=window)
+    assert y.ball_count == len(window) > 500
+    assert overlap_pair_count(y) == _brute_overlap_pairs(y) > y.ball_count + math.comb(len(y.primes), 2)
+
+
+def test_key_index_sorted_and_membership():
+    x = build_divergence_set(family_diagonal(2, 3), 512)
+    base, index = dv._key_index(x)
+    assert index.size == x.ball_count
+    assert (np.diff(index) > 0).all()
+    for q in x.primes:
+        keys = base[q] + dv._encode(x.balls_by_q[q], q)
+        assert dv._is_member(keys, index).all()
+        outside = sorted(set(range(q**2)) - set((keys - base[q]).tolist()))[:5]
+        assert not dv._is_member(np.array(outside, dtype=np.int64) + base[q], index).any()
+    assert not dv._is_member(np.array([5]), np.zeros(0, dtype=np.int64)).any()
+
+
+def test_from_balls_array_matches_list():
+    rng = np.random.default_rng(0)
+    balls = _random_balls(rng, (103, 101, 107), 40, 2)
+    balls += balls[:7]  # duplicates collapse
+    from_list = from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=balls)
+    table = np.array([(q, *b) for q, b in balls], dtype=np.int64)
+    from_array = from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=table)
+    want = {q: sorted(set(b for qq, b in balls if qq == q)) for q in (101, 103, 107)}
+    for x in (from_list, from_array):
+        assert x.primes == [101, 103, 107]
+        for q in x.primes:
+            assert x.balls_by_q[q].flags.c_contiguous
+            assert list(map(tuple, x.balls_by_q[q].tolist())) == want[q]
+    empty = from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=np.zeros((0, 3), dtype=np.int64))
+    assert empty.ball_count == 0 and overlap_pair_count(empty) == 0
+
+
+@pytest.mark.parametrize("params", [
+    dict(N=0), dict(d=0), dict(rho=float("nan")), dict(rho=float("inf")), dict(rho=-1.0),
+    dict(rho=0.0), dict(c=0.0), dict(c=1.0),
+])
+def test_from_balls_rejects_invalid_parameters(params):
+    base = dict(N=1024, d=1, rho=1 / 32, c=0.5, Q=32)
+    with pytest.raises(InputError):
+        from_balls(**{**base, **params}, balls=[(37, (5,))])
+
+
+def test_from_balls_rejects_misshapen_balls():
+    base = dict(N=1024, d=2, rho=1 / 32, c=0.5, Q=101)
+    with pytest.raises(InputError):
+        from_balls(**base, balls=[(103, (5,))])
+    with pytest.raises(InputError):
+        from_balls(**base, balls=[(103, (5, 6)), (103, (5,))])
+    with pytest.raises(InputError):
+        from_balls(**base, balls=np.array([[103, 5, 6, 7]]))
+
+
+def test_overlap_batched_lookup_flushes(monkeypatch):
+    rng = np.random.default_rng(4)
+    x = from_balls(N=1024, d=2, rho=51.2, c=0.5, Q=11, balls=_random_balls(rng, (11, 13, 17), 60, 2))
+    want = overlap_pair_count(x)
+    monkeypatch.setattr(dv, "_KEY_BATCH", 7)
+    assert overlap_pair_count(x) == want
