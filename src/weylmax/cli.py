@@ -390,77 +390,75 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="weylmax", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_poly(sp) -> None:
+    sp.add_argument("--poly", help="polynomial JSON")
+    sp.add_argument("--poly-file", help="path to polynomial JSON")
+    sp.add_argument("--d", type=int, help="expected dimension (validated)")
+    sp.add_argument("--k", type=int, help="expected degree (validated)")
 
-    def add_poly(sp):
-        sp.add_argument("--poly", help="polynomial JSON")
-        sp.add_argument("--poly-file", help="path to polynomial JSON")
-        sp.add_argument("--d", type=int, help="expected dimension (validated)")
-        sp.add_argument("--k", type=int, help="expected degree (validated)")
 
-    def add_out(sp):
-        sp.add_argument("--out", help="output path (default stdout)")
+def _add_out(sp) -> None:
+    sp.add_argument("--out", help="output path (default stdout)")
 
-    sp = sub.add_parser("weyl-table", help="all S(b) for one prime, per-b CSV")
-    add_poly(sp)
+
+def _args_weyl_table(sp) -> None:
+    _add_poly(sp)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--method", choices=["dft", "direct"])
-    add_out(sp)
-    sp.set_defaults(func=cmd_weyl_table)
+    _add_out(sp)
 
-    sp = sub.add_parser("verify-deligne", help="max |S(b)| against the degree bound")
-    add_poly(sp)
+
+def _args_verify_deligne(sp) -> None:
+    _add_poly(sp)
     sp.add_argument("--q", type=int, required=True)
-    add_out(sp)
-    sp.set_defaults(func=cmd_verify_deligne)
+    _add_out(sp)
 
-    sp = sub.add_parser("good-set", help="residues with |S(b)| above the threshold")
-    add_poly(sp)
+
+def _args_good_set(sp) -> None:
+    _add_poly(sp)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--c", type=float, default=0.5)
-    add_out(sp)
-    sp.set_defaults(func=cmd_good_set)
+    _add_out(sp)
 
-    sp = sub.add_parser("solution-eval", help="solution at x = b/q + delta, t = 1/q")
-    add_poly(sp)
+
+def _args_solution_eval(sp) -> None:
+    _add_poly(sp)
     sp.add_argument("--n", type=int, required=True, help="frequency scale N")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--b", required=True, help="comma-separated residues")
     sp.add_argument("--delta", help="comma-separated perturbation")
     sp.add_argument("--unsafe-float", action="store_true",
                     help="demonstration-only floating phase reduction")
-    add_out(sp)
-    sp.set_defaults(func=cmd_solution_eval)
+    _add_out(sp)
 
-    sp = sub.add_parser("decompose", help="main/error split at a rational point")
-    add_poly(sp)
+
+def _args_decompose(sp) -> None:
+    _add_poly(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--delta")
-    add_out(sp)
-    sp.set_defaults(func=cmd_decompose)
+    _add_out(sp)
 
-    sp = sub.add_parser("build-xn", help="divergence-set ball list as CSV")
-    add_poly(sp)
+
+def _args_build_xn(sp) -> None:
+    _add_poly(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--c", type=float, default=0.5)
     sp.add_argument("--rho", type=float, default=1.0 / 32.0)
-    add_out(sp)
-    sp.set_defaults(func=cmd_build_xn)
+    _add_out(sp)
 
-    sp = sub.add_parser("measure-xn", help="measure a stored divergence set")
+
+def _args_measure_xn(sp) -> None:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--method", choices=["exact", "montecarlo"])
     sp.add_argument("--samples", type=int, default=200_000)
     sp.add_argument("--seed", type=int, default=0)
-    add_out(sp)
-    sp.set_defaults(func=cmd_measure_xn)
+    _add_out(sp)
 
-    sp = sub.add_parser("ratio-experiment", help="full ladder of ratio rows")
-    add_poly(sp)
+
+def _args_ratio_experiment(sp) -> None:
+    _add_poly(sp)
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--n-ladder", required=True, help="comma-separated ascending scales")
     sp.add_argument("--c", type=float, default=0.5)
@@ -469,29 +467,58 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=10_000)
     sp.add_argument("--samples", type=int, default=200_000)
     sp.add_argument("--threads", type=int, default=1)
-    add_out(sp)
-    sp.set_defaults(func=cmd_ratio_experiment)
+    _add_out(sp)
 
-    sp = sub.add_parser("fit", help="exponent fit from a rows CSV")
+
+def _args_fit(sp) -> None:
     sp.add_argument("--in", dest="infile", required=True)
-    add_out(sp)
-    sp.set_defaults(func=cmd_fit)
+    _add_out(sp)
 
-    sp = sub.add_parser("lattice-count", help="pairs near the rational line")
+
+def _args_lattice_count(sp) -> None:
     sp.add_argument("q", type=int)
     sp.add_argument("qp", type=int)
     sp.add_argument("bound", type=float)
-    add_out(sp)
-    sp.set_defaults(func=cmd_lattice_count)
+    _add_out(sp)
 
-    sp = sub.add_parser("selftest", help="run the built-in quick checks")
-    sp.set_defaults(func=cmd_selftest)
 
+# name -> (help, argument adder), in help order. The handler of
+# "name" is cmd_<name with "_" for "-">, looked up when the parser is
+# built so that a rebound module attribute (a wrapper) is the one called.
+COMMANDS = {
+    "weyl-table": ("all S(b) for one prime, per-b CSV", _args_weyl_table),
+    "verify-deligne": ("max |S(b)| against the degree bound", _args_verify_deligne),
+    "good-set": ("residues with |S(b)| above the threshold", _args_good_set),
+    "solution-eval": ("solution at x = b/q + delta, t = 1/q", _args_solution_eval),
+    "decompose": ("main/error split at a rational point", _args_decompose),
+    "build-xn": ("divergence-set ball list as CSV", _args_build_xn),
+    "measure-xn": ("measure a stored divergence set", _args_measure_xn),
+    "ratio-experiment": ("full ladder of ratio rows", _args_ratio_experiment),
+    "fit": ("exponent fit from a rows CSV", _args_fit),
+    "lattice-count": ("pairs near the rational line", _args_lattice_count),
+    "selftest": ("run the built-in quick checks", lambda sp: None),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or only ``command`` when it
+    is given (a subcommand's own parser and help do not depend on the
+    others)."""
+    parser = argparse.ArgumentParser(prog="weylmax", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in COMMANDS.items():
+        if command is None or name == command:
+            sp = sub.add_parser(name, help=help_text)
+            add_args(sp)
+            sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def dispatch(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # parse with the named subcommand's parser only; anything else (no
+    # arguments, -h, an unknown command) gets the full parser and its help
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

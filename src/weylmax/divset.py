@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numtheory import close_fraction_pairs, is_prime, primes_in_band
+from .numtheory import band_start, close_fraction_pairs, is_prime, primes_in_band
 from .poly import IntPolynomial
 from .weyl import GoodSet, good_set_for, weyl_sum_direct
 
@@ -76,7 +76,7 @@ def build_divergence_set(
         raise InputError(f"threshold constant must be in (0,1), got {c}")
     if rho <= 0:
         raise InputError(f"radius constant must be positive, got {rho}")
-    Q = int(N ** (d / (d + 1)) + 1e-9)
+    Q = band_start(N, d)
     if Q < 2:
         raise InputError(f"N={N} too small: band start Q={Q}")
     if 2 * Q - 1 >= N / 4:
@@ -159,9 +159,10 @@ def overlap_pair_count(x: DivergenceSet) -> int:
     Same-prime blocks reduce to residue offsets; cross-prime blocks use
     the line-by-line solver for |b*q' - b'*q| <= 2*rho*q*q'/N, with one
     candidate pair per coordinate per admissible line, multiplied across
-    coordinates. The candidate keys of every prime pair are collected
-    first and tested against the key index in one batched lookup, so the
-    cost is O(J) array work plus O(#candidates).
+    coordinates. The candidates of every prime pair are stacked into one
+    array, and the d-fold products of all pairs are built from it as
+    keys and tested against the key index in batched lookups, so the
+    cost is O(J + #products) array work plus the line solver.
     """
     tau = 2.0 * x.rho / x.N
     total = 0
@@ -180,28 +181,39 @@ def overlap_pair_count(x: DivergenceSet) -> int:
             ordered += int(np.isin(_encode(shifted, q), enc_sorted).sum())
         total += (ordered + m) // 2
     base, index = _key_index(x)
-    keys_b: list[int] = []
-    keys_bp: list[int] = []
-
-    def hits() -> int:
-        found = _is_member(np.array(keys_b + keys_bp, dtype=np.int64), index)
-        keys_b.clear()
-        keys_bp.clear()
-        return int(found.reshape(2, -1).all(axis=0).sum())
-
+    pairs: list[tuple[int, int, int]] = []  # (q, q', candidate count)
+    flat: list[tuple[int, int]] = []
     for i, q in enumerate(qs):
         for qp in qs[i + 1 :]:
             candidates = close_fraction_pairs(q, qp, tau * q * qp)
-            for combo in itertools.product(candidates, repeat=x.d):
-                code = code_p = 0
-                for b, bp in combo:
-                    code = code * q + b
-                    code_p = code_p * qp + bp
-                keys_b.append(base[q] + code)
-                keys_bp.append(base[qp] + code_p)
-                if len(keys_b) >= _KEY_BATCH:  # bounds memory at large rho
-                    total += hits()
-    return total + hits()
+            if candidates:
+                pairs.append((q, qp, len(candidates)))
+                flat.extend(candidates)
+    if not pairs:
+        return total
+    cand = np.array(flat, dtype=np.int64)  # rows (b, b'), pair after pair
+    q_arr, qp_arr, n = np.array(pairs, dtype=np.int64).T
+    base_q = np.array([base[q] for q, _, _ in pairs], dtype=np.int64)
+    base_qp = np.array([base[qp] for _, qp, _ in pairs], dtype=np.int64)
+    first = np.cumsum(n) - n  # each pair's first row in cand
+    ends = np.cumsum(n**x.d)  # a pair's d-fold products end here
+    # Product t of a pair takes the row (t // n^(d-1-i)) % n for
+    # coordinate i, the order of itertools.product. Products are built
+    # _KEY_BATCH at a time so a large rho cannot grow them without bound.
+    for lo in range(0, int(ends[-1]), _KEY_BATCH):
+        g = np.arange(lo, min(lo + _KEY_BATCH, int(ends[-1])), dtype=np.int64)
+        p = np.searchsorted(ends, g, side="right")
+        m = n[p]
+        t = g - ends[p] + m**x.d
+        code = np.zeros_like(g)
+        code_p = np.zeros_like(g)
+        for i in range(x.d):
+            row = cand[first[p] + t // m ** (x.d - 1 - i) % m]
+            code = code * q_arr[p] + row[:, 0]
+            code_p = code_p * qp_arr[p] + row[:, 1]
+        found = _is_member(np.concatenate([base_q[p] + code, base_qp[p] + code_p]), index)
+        total += int(found.reshape(2, -1).all(axis=0).sum())
+    return total
 
 
 def _exact_interval_measure(x: DivergenceSet) -> float:
@@ -236,9 +248,53 @@ def _exact_interval_measure(x: DivergenceSet) -> float:
 _MC_BLOCK = 1 << 16
 
 
+def _strip_rows(x0: np.ndarray, centers: np.ndarray, half: float) -> np.ndarray:
+    """Positions in the ascending array ``x0`` within ``half`` of some
+    center on the circle, each position once.
+
+    ``centers`` ascend in [0, 1) and their strips cover less than the
+    whole circle. The strip ranges come from two ``searchsorted`` calls;
+    the wrap-around ranges at 0 and 1 only need the last and the first
+    center. Ranges ascend in both ends, so clipping each start to the
+    previous end removes overlaps.
+    """
+    lo, hi = centers - half, centers + half
+    starts = np.searchsorted(x0, lo, side="left")
+    ends = np.searchsorted(x0, hi, side="right")
+    if lo[0] < 0.0:  # the strips reaching below 0 continue below 1
+        starts = np.append(starts, np.searchsorted(x0, lo[0] + 1.0, side="left"))
+        ends = np.append(ends, x0.size)
+    if hi[-1] >= 1.0:  # the strips reaching past 1 continue past 0
+        starts = np.insert(starts, 0, 0)
+        ends = np.insert(ends, 0, np.searchsorted(x0, hi[-1] - 1.0, side="right"))
+    starts[1:] = np.maximum(starts[1:], ends[:-1])
+    counts = np.maximum(ends - starts, 0)
+    total = int(counts.sum())
+    return np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
 def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, float]:
+    """Hit fraction of uniform points with its binomial standard error.
+
+    A point hits ball (q, b) when every coordinate lies within
+    ``radius`` of ``b_i/q`` on the circle. Per block the points are
+    sorted by their first coordinate once; each prime then tests only
+    the points within ``radius + 1e-12`` of a first residue of its balls
+    over ``q`` (its strips). No point outside the strips can pass, as
+    the margin is far above the rounding of the distance, so the hit
+    set equals that of testing every point. A prime whose strips cover
+    a quarter of the circle or more tests every point.
+    """
     radius = x.rho / x.N
-    enc_members = {q: np.sort(_encode(x.balls_by_q[q], q)) for q in x.primes}
+    half = radius + 1e-12
+    primes = [q for q in x.primes if x.balls_by_q[q].shape[0]]
+    codes = {q: _encode(x.balls_by_q[q], q) for q in primes}
+    centers = {}
+    for q in primes:
+        first = x.balls_by_q[q][:, 0]
+        distinct = first[np.r_[True, first[1:] != first[:-1]]] / q
+        centers[q] = None if 2.0 * half * distinct.size >= 0.25 else distinct
+    narrow = any(c is not None for c in centers.values())
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     hits = 0
@@ -246,22 +302,29 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
     for blk in range(n_blocks):
         size = min(_MC_BLOCK, samples - done)
         pts = np.random.default_rng(children[blk]).random((size, x.d))
+        if narrow:
+            order = np.argsort(pts[:, 0])
+            x0 = pts[order, 0]
         hit = np.zeros(size, dtype=bool)
-        for q in x.primes:
-            if x.balls_by_q[q].shape[0] == 0:
-                continue
-            jmax = int(math.floor(radius * q + 0.5 + 1e-12))
-            nearest = np.rint(pts * q).astype(np.int64)
-            for joff in itertools.product(range(-jmax, jmax + 1), repeat=x.d):
-                bb = (nearest + np.array(joff, dtype=np.int64)) % q
-                dist = np.abs(pts - bb / q)
-                dist = np.minimum(dist, 1.0 - dist)
-                inside = (dist <= radius).all(axis=1)
-                rows = np.flatnonzero(inside)
+        for q in primes:
+            if centers[q] is None:
+                rows, sub = None, pts
+            else:
+                rows = order[_strip_rows(x0, centers[q], half)]
                 if rows.size == 0:
                     continue
-                member = np.isin(_encode(bb[rows], q), enc_members[q])
-                hit[rows[member]] = True
+                sub = pts[rows]
+            jmax = int(math.floor(radius * q + 0.5 + 1e-12))
+            nearest = np.rint(sub * q).astype(np.int64)
+            for joff in itertools.product(range(-jmax, jmax + 1), repeat=x.d):
+                bb = (nearest + np.array(joff, dtype=np.int64)) % q
+                dist = np.abs(sub - bb / q)
+                dist = np.minimum(dist, 1.0 - dist)
+                inside = np.flatnonzero((dist <= radius).all(axis=1))
+                if inside.size == 0:
+                    continue
+                found = inside[np.isin(_encode(bb[inside], q), codes[q])]
+                hit[found if rows is None else rows[found]] = True
         hits += int(hit.sum())
         done += size
     p = hits / samples

@@ -72,6 +72,24 @@ def primes_in_band(lo: int, hi: int) -> PrimeBand:
     return PrimeBand(lo, hi, tuple(int(p) for p in ps))
 
 
+def band_start(N: int, d: int) -> int:
+    """Largest integer Q with Q^(d+1) <= N^d, i.e. floor(N^(d/(d+1))).
+
+    Integer Newton iteration from above, exact for any N; the float
+    formula ``int(N ** (d / (d + 1)))`` rounds down at large perfect
+    powers (N = 10^12, d = 2 gives 10^8 - 1).
+    """
+    if N < 1 or d < 1:
+        raise InputError(f"band start needs N >= 1 and d >= 1, got N = {N}, d = {d}")
+    target, k = int(N) ** d, d + 1
+    root = 1 << -(-target.bit_length() // k)  # 2^ceil(bits/k) > the root
+    while True:
+        step = ((k - 1) * root + target // root ** (k - 1)) // k
+        if step >= root:
+            return root
+        root = step
+
+
 def eval_poly_mod(poly, n, q: int) -> int:
     """P(n) mod q with every intermediate reduced mod q.
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from weylmax import divset
-from weylmax.cli import _read_xn, dispatch
+from weylmax.cli import COMMANDS, _read_xn, build_parser, dispatch
 from weylmax.poly import parse_polynomial
 
 P_SQ = '{"d":1,"terms":[{"e":[2],"c":1}]}'
@@ -117,6 +117,26 @@ def test_ratio_experiment_and_fit(capsys, tmp_path):
 
 def test_unknown_subcommand_exit_2(capsys):
     assert dispatch(["no-such-command"]) == 2
+
+
+def test_lean_parser_keeps_help_and_errors(capsys):
+    full = build_parser()
+    assert dispatch(["-h"]) == 0
+    assert capsys.readouterr().out == full.format_help()
+    subparsers = full._subparsers._group_actions[0].choices
+    for name in ("build-xn", "measure-xn", "lattice-count"):
+        assert dispatch([name, "-h"]) == 0
+        assert capsys.readouterr().out == subparsers[name].format_help()
+    assert dispatch([]) == 2
+    assert dispatch(["build-xn", "--no-such-flag"]) == 2
+    assert "usage: weylmax build-xn" in capsys.readouterr().err
+
+
+def test_build_parser_for_one_command():
+    lean = build_parser("fit")
+    assert list(lean._subparsers._group_actions[0].choices) == ["fit"]
+    assert lean.parse_args(["fit", "--in", "rows.csv"]).infile == "rows.csv"
+    assert list(build_parser()._subparsers._group_actions[0].choices) == list(COMMANDS)
 
 
 def test_input_error_exit_2(capsys):

@@ -295,3 +295,85 @@ def test_overlap_batched_lookup_flushes(monkeypatch):
     want = overlap_pair_count(x)
     monkeypatch.setattr(dv, "_KEY_BATCH", 7)
     assert overlap_pair_count(x) == want
+
+
+def test_overlap_matches_bruteforce_d2_built_window_large_radius():
+    # rho = 2: many cross-prime candidates per prime pair, built in one batch
+    x = build_divergence_set(family_diagonal(2, 2), 512, rho=2.0)
+    window = [(q, b) for q, b in x.ball_list() if max(b) < 0.05 * q]
+    y = from_balls(N=x.N, d=2, rho=x.rho, c=x.c, Q=x.Q, balls=window)
+    assert y.ball_count > 100
+    assert overlap_pair_count(y) == _brute_overlap_pairs(y) > 3 * y.ball_count
+
+
+def _full_sweep_measure(x, samples, seed):
+    """Oracle: the per-prime Monte Carlo test applied to every point."""
+    radius = x.rho / x.N
+    codes = {q: np.sort(dv._encode(x.balls_by_q[q], q)) for q in x.primes}
+    children = np.random.SeedSequence(seed).spawn((samples + dv._MC_BLOCK - 1) // dv._MC_BLOCK)
+    hits = done = 0
+    for child in children:
+        size = min(dv._MC_BLOCK, samples - done)
+        pts = np.random.default_rng(child).random((size, x.d))
+        hit = np.zeros(size, dtype=bool)
+        for q in x.primes:
+            if x.balls_by_q[q].shape[0] == 0:
+                continue
+            jmax = int(math.floor(radius * q + 0.5 + 1e-12))
+            nearest = np.rint(pts * q).astype(np.int64)
+            for joff in itertools.product(range(-jmax, jmax + 1), repeat=x.d):
+                bb = (nearest + np.array(joff, dtype=np.int64)) % q
+                dist = np.abs(pts - bb / q)
+                dist = np.minimum(dist, 1.0 - dist)
+                rows = np.flatnonzero((dist <= radius).all(axis=1))
+                hit[rows[np.isin(dv._encode(bb[rows], q), codes[q])]] = True
+        hits += int(hit.sum())
+        done += size
+    p = hits / samples
+    return p, math.sqrt(p * (1.0 - p) / samples)
+
+
+_SWEEP_SETS = {
+    "d1": lambda rho: build_divergence_set(P_SQ, 4096, rho=rho),
+    "d2-squares": lambda rho: build_divergence_set(family_diagonal(2, 2), 512, rho=rho),
+    "d2-cubes": lambda rho: build_divergence_set(family_diagonal(2, 3), 512, rho=rho),
+    "d3": lambda rho: from_balls(
+        N=16, d=3, rho=rho, c=0.5, Q=11,
+        balls=_random_balls(np.random.default_rng(7), (11, 13, 17), 300, 3)),
+}
+
+
+@pytest.mark.parametrize("rho", [1 / 32, 0.5, 2.0])
+@pytest.mark.parametrize("name", sorted(_SWEEP_SETS))
+def test_montecarlo_strips_match_full_sweep(name, rho):
+    x = _SWEEP_SETS[name](rho)
+    for seed, samples in ((0, 70_001), (3, 9_999), (11, dv._MC_BLOCK + 1)):
+        got = dv._montecarlo_measure(x, samples, seed)
+        assert got == _full_sweep_measure(x, samples, seed)
+    assert got[0] > 0
+
+
+def test_montecarlo_strips_wrap_around():
+    # first residues 0 and q - 1: the strips at 0 continue below 1
+    edges = [(q, (b0, b1)) for q in (11, 13) for b0 in (0, q - 1) for b1 in range(q)]
+    # one center 10/11 with rho/N > 1/11: its strip continues past 0
+    last = [(11, (10, b1)) for b1 in range(11)]
+    for balls, rho in ((edges, 2.0), (edges, 8.0), (last, 50.0)):
+        x = from_balls(N=512, d=2, rho=rho, c=0.5, Q=11, balls=balls)
+        for seed in (0, 1, 2):
+            got = dv._montecarlo_measure(x, 50_000, seed)
+            assert got == _full_sweep_measure(x, 50_000, seed)
+            assert got[0] > 0
+
+
+def test_strip_rows_cover_each_point_once():
+    rng = np.random.default_rng(2)
+    x0 = np.sort(rng.random(5_000))
+    half = 0.003
+    for centers in ([0.001, 0.5], [0.5, 0.9995], [0.0, 0.2, 0.2004, 0.7, 0.9985]):
+        centers = np.array(centers)  # strips wrap at 0, at 1, at both
+        rows = dv._strip_rows(x0, centers, half)
+        dist = np.abs(x0[:, None] - centers[None, :])
+        near = np.flatnonzero((np.minimum(dist, 1 - dist) <= half).any(axis=1))
+        assert np.array_equal(np.sort(rows), near)
+        assert np.unique(rows).size == rows.size

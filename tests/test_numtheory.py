@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylmax.errors import InputError
 from weylmax.numtheory import (
+    band_start,
     close_fraction_pairs,
     eval_poly_mod,
     eval_poly_mod_grid,
@@ -126,3 +127,32 @@ def _close_pairs_brute(q, qp, bound):
 ])
 def test_close_fraction_pairs_matches_brute(q, qp, bound):
     assert close_fraction_pairs(q, qp, bound) == _close_pairs_brute(q, qp, bound)
+
+
+def test_band_start_exact_on_cubes():
+    # the float formula int(N ** (2/3) + 1e-9) gives m^2 - 1 here
+    for m in (10**4, 10**5, 12_345, 2**20):
+        assert band_start(m**3, 2) == m * m
+        assert band_start(m**3 - 1, 2) == m * m - 1
+    assert band_start(10**12, 2) == 10**8
+    assert band_start(2**64, 1) == 2**32
+
+
+def test_band_start_matches_float_formula_on_small_n():
+    for d in (1, 2, 3):
+        for n in range(1, 5_000):
+            assert band_start(n, d) == int(n ** (d / (d + 1)) + 1e-9)
+
+
+@given(st.integers(1, 10**30), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_band_start_is_largest_root(n, d):
+    q = band_start(n, d)
+    assert q ** (d + 1) <= n**d < (q + 1) ** (d + 1)
+
+
+def test_band_start_rejects_nonpositive():
+    with pytest.raises(InputError):
+        band_start(0, 2)
+    with pytest.raises(InputError):
+        band_start(8, 0)
