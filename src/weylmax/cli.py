@@ -406,12 +406,14 @@ def _args_weyl_table(sp) -> None:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--method", choices=["dft", "direct"])
     _add_out(sp)
+    sp.set_defaults(func=cmd_weyl_table)
 
 
 def _args_verify_deligne(sp) -> None:
     _add_poly(sp)
     sp.add_argument("--q", type=int, required=True)
     _add_out(sp)
+    sp.set_defaults(func=cmd_verify_deligne)
 
 
 def _args_good_set(sp) -> None:
@@ -419,6 +421,7 @@ def _args_good_set(sp) -> None:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--c", type=float, default=0.5)
     _add_out(sp)
+    sp.set_defaults(func=cmd_good_set)
 
 
 def _args_solution_eval(sp) -> None:
@@ -430,6 +433,7 @@ def _args_solution_eval(sp) -> None:
     sp.add_argument("--unsafe-float", action="store_true",
                     help="demonstration-only floating phase reduction")
     _add_out(sp)
+    sp.set_defaults(func=cmd_solution_eval)
 
 
 def _args_decompose(sp) -> None:
@@ -439,6 +443,7 @@ def _args_decompose(sp) -> None:
     sp.add_argument("--b", required=True)
     sp.add_argument("--delta")
     _add_out(sp)
+    sp.set_defaults(func=cmd_decompose)
 
 
 def _args_build_xn(sp) -> None:
@@ -447,6 +452,7 @@ def _args_build_xn(sp) -> None:
     sp.add_argument("--c", type=float, default=0.5)
     sp.add_argument("--rho", type=float, default=1.0 / 32.0)
     _add_out(sp)
+    sp.set_defaults(func=cmd_build_xn)
 
 
 def _args_measure_xn(sp) -> None:
@@ -455,6 +461,7 @@ def _args_measure_xn(sp) -> None:
     sp.add_argument("--samples", type=int, default=200_000)
     sp.add_argument("--seed", type=int, default=0)
     _add_out(sp)
+    sp.set_defaults(func=cmd_measure_xn)
 
 
 def _args_ratio_experiment(sp) -> None:
@@ -468,11 +475,13 @@ def _args_ratio_experiment(sp) -> None:
     sp.add_argument("--samples", type=int, default=200_000)
     sp.add_argument("--threads", type=int, default=1)
     _add_out(sp)
+    sp.set_defaults(func=cmd_ratio_experiment)
 
 
 def _args_fit(sp) -> None:
     sp.add_argument("--in", dest="infile", required=True)
     _add_out(sp)
+    sp.set_defaults(func=cmd_fit)
 
 
 def _args_lattice_count(sp) -> None:
@@ -480,11 +489,16 @@ def _args_lattice_count(sp) -> None:
     sp.add_argument("qp", type=int)
     sp.add_argument("bound", type=float)
     _add_out(sp)
+    sp.set_defaults(func=cmd_lattice_count)
 
 
-# name -> (help, argument adder), in help order. The handler of
-# "name" is cmd_<name with "_" for "-">, looked up when the parser is
-# built so that a rebound module attribute (a wrapper) is the one called.
+def _args_selftest(sp) -> None:
+    sp.set_defaults(func=cmd_selftest)
+
+
+# name -> (help, adder of the arguments and the handler), in help order.
+# The adders read cmd_* when the parser is built, so a rebound module
+# attribute (a wrapper) is the one called.
 COMMANDS = {
     "weyl-table": ("all S(b) for one prime, per-b CSV", _args_weyl_table),
     "verify-deligne": ("max |S(b)| against the degree bound", _args_verify_deligne),
@@ -496,7 +510,7 @@ COMMANDS = {
     "ratio-experiment": ("full ladder of ratio rows", _args_ratio_experiment),
     "fit": ("exponent fit from a rows CSV", _args_fit),
     "lattice-count": ("pairs near the rational line", _args_lattice_count),
-    "selftest": ("run the built-in quick checks", lambda sp: None),
+    "selftest": ("run the built-in quick checks", _args_selftest),
 }
 
 
@@ -510,7 +524,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command is None or name == command:
             sp = sub.add_parser(name, help=help_text)
             add_args(sp)
-            sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 

@@ -252,11 +252,10 @@ def _strip_rows(x0: np.ndarray, centers: np.ndarray, half: float) -> np.ndarray:
     """Positions in the ascending array ``x0`` within ``half`` of some
     center on the circle, each position once.
 
-    ``centers`` ascend in [0, 1) and their strips cover less than the
-    whole circle. The strip ranges come from two ``searchsorted`` calls;
-    the wrap-around ranges at 0 and 1 only need the last and the first
-    center. Ranges ascend in both ends, so clipping each start to the
-    previous end removes overlaps.
+    ``centers`` ascend in [0, 1) and ``half <= 0.5``. The strip ranges
+    come from two ``searchsorted`` calls; the wrap-around ranges at 0
+    and 1 only need the last and the first center. Ranges ascend in both
+    ends, so clipping each start to the previous end removes overlaps.
     """
     lo, hi = centers - half, centers + half
     starts = np.searchsorted(x0, lo, side="left")
@@ -282,19 +281,17 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
     the points within ``radius + 1e-12`` of a first residue of its balls
     over ``q`` (its strips). No point outside the strips can pass, as
     the margin is far above the rounding of the distance, so the hit
-    set equals that of testing every point. A prime whose strips cover
-    a quarter of the circle or more tests every point.
+    set equals that of testing every point. No circle distance exceeds
+    0.5, so the strips are capped there.
     """
     radius = x.rho / x.N
-    half = radius + 1e-12
+    half = min(radius + 1e-12, 0.5)
     primes = [q for q in x.primes if x.balls_by_q[q].shape[0]]
     codes = {q: _encode(x.balls_by_q[q], q) for q in primes}
     centers = {}
     for q in primes:
         first = x.balls_by_q[q][:, 0]
-        distinct = first[np.r_[True, first[1:] != first[:-1]]] / q
-        centers[q] = None if 2.0 * half * distinct.size >= 0.25 else distinct
-    narrow = any(c is not None for c in centers.values())
+        centers[q] = first[np.r_[True, first[1:] != first[:-1]]] / q
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     hits = 0
@@ -302,18 +299,14 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
     for blk in range(n_blocks):
         size = min(_MC_BLOCK, samples - done)
         pts = np.random.default_rng(children[blk]).random((size, x.d))
-        if narrow:
-            order = np.argsort(pts[:, 0])
-            x0 = pts[order, 0]
+        order = np.argsort(pts[:, 0])
+        x0 = pts[order, 0]
         hit = np.zeros(size, dtype=bool)
         for q in primes:
-            if centers[q] is None:
-                rows, sub = None, pts
-            else:
-                rows = order[_strip_rows(x0, centers[q], half)]
-                if rows.size == 0:
-                    continue
-                sub = pts[rows]
+            rows = order[_strip_rows(x0, centers[q], half)]
+            if rows.size == 0:
+                continue
+            sub = pts[rows]
             jmax = int(math.floor(radius * q + 0.5 + 1e-12))
             nearest = np.rint(sub * q).astype(np.int64)
             for joff in itertools.product(range(-jmax, jmax + 1), repeat=x.d):
@@ -324,7 +317,7 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
                 if inside.size == 0:
                     continue
                 found = inside[np.isin(_encode(bb[inside], q), codes[q])]
-                hit[found if rows is None else rows[found]] = True
+                hit[rows[found]] = True
         hits += int(hit.sum())
         done += size
     p = hits / samples

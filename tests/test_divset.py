@@ -369,9 +369,11 @@ def test_montecarlo_strips_wrap_around():
 def test_strip_rows_cover_each_point_once():
     rng = np.random.default_rng(2)
     x0 = np.sort(rng.random(5_000))
-    half = 0.003
-    for centers in ([0.001, 0.5], [0.5, 0.9995], [0.0, 0.2, 0.2004, 0.7, 0.9985]):
-        centers = np.array(centers)  # strips wrap at 0, at 1, at both
+    # strips wrap at 0, at 1, at both; half = 0.5 covers the whole circle
+    for centers, half in (([0.001, 0.5], 0.003), ([0.5, 0.9995], 0.003),
+                          ([0.0, 0.2, 0.2004, 0.7, 0.9985], 0.003),
+                          ([0.1, 0.45, 0.8], 0.3), ([0.3], 0.5), ([0.2, 0.9], 0.5)):
+        centers = np.array(centers)
         rows = dv._strip_rows(x0, centers, half)
         dist = np.abs(x0[:, None] - centers[None, :])
         near = np.flatnonzero((np.minimum(dist, 1 - dist) <= half).any(axis=1))
