@@ -105,6 +105,7 @@ def cmd_verify_deligne(args) -> int:
     _json_out({
         "config": _config(args, p), "q": args.q, "d": p.dim, "k": p.degree(),
         "max_modulus": report.max_modulus, "bound": report.bound, "ok": report.ok,
+        "classical_bound": report.classical_bound, "classical_ok": report.classical_ok,
     }, args.out)
     return EXIT_OK
 
@@ -142,7 +143,7 @@ def cmd_solution_eval(args) -> int:
     b = _parse_residues(args.b, "--b")
     delta = _parse_vector(args.delta, "--delta") if args.delta else (0.0,) * p.dim
     pt = datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
-    u = datum_mod.evaluate_solution(p, f, pt, unsafe_float=args.unsafe_float)
+    u = datum_mod.evaluate_solution(p, f, pt)
     _json_out({
         "config": _config(args, p), "re": u.real, "im": u.imag, "modulus": abs(u),
     }, args.out)
@@ -430,8 +431,6 @@ def _args_solution_eval(sp) -> None:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--b", required=True, help="comma-separated residues")
     sp.add_argument("--delta", help="comma-separated perturbation")
-    sp.add_argument("--unsafe-float", action="store_true",
-                    help="demonstration-only floating phase reduction")
     _add_out(sp)
     sp.set_defaults(func=cmd_solution_eval)
 

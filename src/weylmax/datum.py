@@ -18,9 +18,8 @@ import numpy as np
 
 from .accum import csum_complex
 from .errors import InputError, ResourceError
-from .numtheory import eval_poly_mod_grid
 from .poly import IntPolynomial
-from .weyl import roots_of_unity
+from .weyl import phase_index, roots_of_unity
 
 RHO_DEFAULT = 1.0 / 32.0  # shared ball-radius / perturbation-budget constant
 BOX_GUARD = 1 << 28  # max entries of the support box
@@ -145,80 +144,49 @@ def datum_coefficients(N: int, d: int) -> Datum:
 
 
 def sobolev_norm_sq(f: Datum, s: float) -> float:
-    """sum_n (1 + |n|^2)^s phi(n/N)^2 over the support box."""
+    """sum_n (1 + |n|^2)^s phi(n/N)^2 over the support box.
+
+    One recursion over the axes: part(offset, depth) sums
+    w[i] * part(offset + n_i^2, depth - 1), and the last axis is one
+    vectorized sum, so the cost is len(axis)^d with len(axis)^(d-1) calls.
+    """
     if s == 0.0:
         return f.l2_sq()
-    n = f.axis_n.astype(float)
     w = f.axis_psi**2
-    if f.d == 1:
-        return float(np.sum((1.0 + n**2) ** s * w))
-    total = 0.0
-    nsq = n**2
-    if f.d == 2:
-        for i in range(len(n)):
-            total += w[i] * float(np.sum((1.0 + nsq[i] + nsq) ** s * w))
+    nsq = f.axis_n.astype(float) ** 2
+
+    def part(offset, depth: int):
+        if depth == 1:
+            return np.sum((offset + nsq) ** s * w)
+        total = 0.0
+        for i in range(len(nsq)):
+            total += w[i] * float(part(offset + nsq[i], depth - 1))
         return total
-    if f.d == 3:
-        for i in range(len(n)):
-            row = 0.0
-            for j in range(len(n)):
-                row += w[j] * float(np.sum((1.0 + nsq[i] + nsq[j] + nsq) ** s * w))
-            total += w[i] * row
-        return total
-    raise InputError(f"Sobolev norms implemented for d <= 3, got d={f.d}")
+
+    return float(part(1.0, f.d))
 
 
 def _delta_phases(f: Datum, delta: Sequence[float]) -> list[np.ndarray]:
     return [np.exp(2j * np.pi * di * f.axis_n) for di in delta]
 
 
-def evaluate_solution(
-    poly: IntPolynomial,
-    f: Datum,
-    pt: RationalPoint,
-    unsafe_float: bool = False,
-) -> complex:
+def evaluate_solution(poly: IntPolynomial, f: Datum, pt: RationalPoint) -> complex:
     """The solution at x = b/q + delta, t = 1/q, as the exact sum
     sum_n phi(n/N) e(((b.n + P(n)) mod q)/q + delta.n).
 
     The modular part of every phase is computed in integers and only
     then mapped to the unit circle; terms are accumulated in a fixed
-    lexicographic order with compensated summation. The unsafe_float
-    path instead reduces b.n/q + P(n)/q in floating point; it loses all
-    accuracy once P(n)/q nears 2^53 and exists only for demonstration.
+    lexicographic order with compensated summation.
     """
     if poly.dim != f.d or pt.d != f.d:
         raise InputError(f"dimension mismatch: polynomial {poly.dim}, datum {f.d}, point {pt.d}")
     q = pt.q
-    n = f.axis_n
     psi = f.axis_psi
     dphases = _delta_phases(f, pt.delta)
     roots = roots_of_unity(q)
-
-    if unsafe_float:
-        nf = n.astype(float)
-        axes = [nf.reshape((1,) * i + (-1,) + (1,) * (f.d - 1 - i)) for i in range(f.d)]
-        phase = sum(pt.b[i] * axes[i] for i in range(f.d))
-        for expo, coeff in poly.terms.items():
-            t = float(coeff)
-            term = np.full((1,) * f.d, t)
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * axes[i] ** e
-            phase = phase + term
-        phase = phase / q
-        for i in range(f.d):
-            phase = phase + pt.delta[i] * axes[i]
-        coeff_grid = np.ones((1,) * f.d)
-        for i in range(f.d):
-            coeff_grid = coeff_grid * psi.reshape((1,) * i + (-1,) + (1,) * (f.d - 1 - i))
-        return csum_complex(coeff_grid * np.exp(2j * np.pi * phase))
-
-    n_mod = (n % q).astype(np.int64)
+    n_mod = (f.axis_n % q).astype(np.int64)
     if f.d == 1:
-        residues = eval_poly_mod_grid(poly, (n_mod,), q)
-        residues = (residues + pt.b[0] * n_mod) % q
-        return csum_complex(psi * dphases[0] * roots[residues])
+        return csum_complex(psi * dphases[0] * roots[phase_index(poly, pt.b, q, (n_mod,))])
 
     # d >= 2: slab over the first axis, lexicographic order preserved
     rest_axes = tuple(
@@ -228,13 +196,10 @@ def evaluate_solution(
     for i in range(f.d - 1):
         shaped = (psi * dphases[i + 1]).reshape((1,) * i + (-1,) + (1,) * (f.d - 2 - i))
         rest_coeff = rest_coeff * shaped
-    rest_lin = sum(pt.b[i + 1] * rest_axes[i] for i in range(f.d - 1)) % q
     parts_re, parts_im = [], []
-    for j in range(len(n)):
-        comps = (np.full((1,) * (f.d - 1), n_mod[j]),) + rest_axes
-        residues = eval_poly_mod_grid(poly, comps, q)
-        residues = (residues + pt.b[0] * int(n_mod[j]) + rest_lin) % q
-        slab = (psi[j] * dphases[0][j]) * rest_coeff * roots[residues]
+    for j in range(len(n_mod)):
+        comps = (n_mod[j : j + 1].reshape((1,) * (f.d - 1)),) + rest_axes
+        slab = (psi[j] * dphases[0][j]) * rest_coeff * roots[phase_index(poly, pt.b, q, comps)]
         s = slab.sum()
         parts_re.append(float(s.real))
         parts_im.append(float(s.imag))

@@ -19,9 +19,8 @@ import numpy as np
 
 from .datum import Datum, RationalPoint
 from .errors import InputError, InvariantError
-from .numtheory import eval_poly_mod_grid
 from .poly import IntPolynomial
-from .weyl import WeylTable, phase_residues, roots_of_unity
+from .weyl import WeylTable, phase_index, roots_of_unity
 
 INVERSION_TOL = 1e-9
 
@@ -103,15 +102,9 @@ def spectrum(z: FoldedZ) -> SpectralZ:
 def folded_eval(z: FoldedZ, poly: IntPolynomial, b) -> complex:
     """sum_r Z(r) e((b.r + P(r))/q) with exact modular phases."""
     q = z.q
-    b = tuple(int(v) % q for v in b)
     if len(b) != z.d:
         raise InputError(f"b has {len(b)} components, expected {z.d}")
-    idx = phase_residues(poly, q).astype(np.int64)
-    for i, bi in enumerate(b):
-        if bi:
-            r = np.arange(q, dtype=np.int64).reshape((1,) * i + (q,) + (1,) * (z.d - 1 - i))
-            idx = (idx + bi * r) % q
-    return complex(np.sum(z.values * roots_of_unity(q)[idx]))
+    return complex(np.sum(z.values * roots_of_unity(q)[phase_index(poly, b, q)]))
 
 
 def main_error_split(poly: IntPolynomial, f: Datum, pt: RationalPoint, table: WeylTable) -> MainErrorSplit:

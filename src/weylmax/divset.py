@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .numtheory import band_start, close_fraction_pairs, is_prime, primes_in_band
 from .poly import IntPolynomial
-from .weyl import GoodSet, good_set_for, weyl_sum_direct
+from .weyl import good_set_for, weyl_sum_direct
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +33,6 @@ class DivergenceSet:
     Q: int
     balls_by_q: dict[int, np.ndarray]  # q -> (m, d) residue array, lex sorted
     polynomial: IntPolynomial | None = None
-    good_sets: dict[int, GoodSet] | None = None
 
     @property
     def ball_count(self) -> int:
@@ -74,8 +73,8 @@ def build_divergence_set(
         raise InputError(f"symbol degree must be >= 2, got {k}")
     if not 0 < c < 1:
         raise InputError(f"threshold constant must be in (0,1), got {c}")
-    if rho <= 0:
-        raise InputError(f"radius constant must be positive, got {rho}")
+    if not (math.isfinite(rho) and rho > 0):
+        raise InputError(f"radius constant must be finite and positive, got {rho}")
     Q = band_start(N, d)
     if Q < 2:
         raise InputError(f"N={N} too small: band start Q={Q}")
@@ -88,15 +87,8 @@ def build_divergence_set(
         log.info("dropping band primes dividing the degree %d: %s", k, dropped)
     if not admissible:
         raise InputError(f"no admissible prime in [{Q}, {2*Q}) for degree {k}")
-    balls: dict[int, np.ndarray] = {}
-    goods: dict[int, GoodSet] = {}
-    for q in admissible:
-        gs = good_set_for(poly, q, c, k)
-        goods[q] = gs
-        balls[q] = gs.members
-    return DivergenceSet(
-        N=N, d=d, rho=rho, c=c, Q=Q, balls_by_q=balls, polynomial=poly, good_sets=goods
-    )
+    balls = {q: good_set_for(poly, q, c, k).members for q in admissible}
+    return DivergenceSet(N=N, d=d, rho=rho, c=c, Q=Q, balls_by_q=balls, polynomial=poly)
 
 
 def _same_q_offsets(q: int, tau: float) -> list[int]:

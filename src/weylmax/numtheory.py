@@ -155,8 +155,8 @@ def lattice_pair_count(q: int, qp: int, bound: float, method: str = "fast") -> i
     """
     if q < 1 or qp < 1:
         raise InputError(f"moduli must be positive, got ({q}, {qp})")
-    if bound < 0:
-        raise InputError(f"bound must be non-negative, got {bound}")
+    if not (math.isfinite(bound) and bound >= 0):
+        raise InputError(f"bound must be finite and non-negative, got {bound}")
     if method == "brute":
         return lattice_pair_count_bruteforce(q, qp, bound)
     if method != "fast":
@@ -187,8 +187,8 @@ def lattice_pair_count_bruteforce(q: int, qp: int, bound: float) -> int:
     """Exhaustive O(q*qp) reference count for lattice_pair_count."""
     if q < 1 or qp < 1:
         raise InputError(f"moduli must be positive, got ({q}, {qp})")
-    if bound < 0:
-        raise InputError(f"bound must be non-negative, got {bound}")
+    if not (math.isfinite(bound) and bound >= 0):
+        raise InputError(f"bound must be finite and non-negative, got {bound}")
     b = np.arange(1, q + 1, dtype=np.int64)[:, None]
     bp = np.arange(1, qp + 1, dtype=np.int64)[None, :]
     s = np.abs(b * qp - bp * q)
@@ -205,6 +205,8 @@ def close_fraction_pairs(q: int, qp: int, bound: float) -> list[tuple[int, int]]
     """
     if q < 1 or qp < 1:
         raise InputError(f"moduli must be positive, got ({q}, {qp})")
+    if not math.isfinite(bound):
+        raise InputError(f"bound must be finite, got {bound}")
     prod = q * qp
     if 2 * bound >= prod:
         # circle distance is at most 1/2, so every pair qualifies

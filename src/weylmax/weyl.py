@@ -18,7 +18,6 @@ from .numtheory import eval_poly_mod_grid, is_prime
 from .poly import IntPolynomial
 
 TABLE_GUARD = 1 << 28  # max q^d entries for a materialized table
-STREAM_THRESHOLD = 1 << 24  # above this, good sets are reduced slab by slab
 PARSEVAL_TOL = 1e-9
 
 
@@ -36,8 +35,10 @@ class WeylTable:
 @dataclass(frozen=True)
 class DeligneReport:
     max_modulus: float
-    bound: float
+    bound: float  # per-degree (k-1) q^(d/2)
     ok: bool
+    classical_bound: float  # (k-1)^d q^(d/2)
+    classical_ok: bool
 
 
 @dataclass
@@ -48,14 +49,6 @@ class GoodSet:
     threshold: float
     members: np.ndarray  # shape (m, d), lexicographically sorted residues
     density: float
-
-    def __contains__(self, b) -> bool:
-        return tuple(int(v) for v in b) in self.member_set()
-
-    def member_set(self) -> frozenset:
-        if not hasattr(self, "_member_set"):
-            self._member_set = frozenset(map(tuple, self.members.tolist()))
-        return self._member_set
 
 
 @lru_cache(maxsize=128)
@@ -76,20 +69,32 @@ def phase_residues(poly: IntPolynomial, q: int) -> np.ndarray:
     return eval_poly_mod_grid(poly, _open_grid(q, poly.dim), q)
 
 
+def phase_index(
+    poly: IntPolynomial, b, q: int, comps: tuple[np.ndarray, ...] | None = None
+) -> np.ndarray:
+    """(P(r) + b.r) mod q over broadcastable int64 coordinate arrays.
+
+    comps defaults to the full residue grid, shape (q,)*d. All arithmetic
+    is in integers (residue products stay below 2^62), so the result is
+    exact and roots_of_unity(q)[result] gives every phase e(./q).
+    """
+    if comps is None:
+        comps = _open_grid(q, poly.dim)
+    idx = eval_poly_mod_grid(poly, comps, q)
+    for c, bi in zip(comps, b):
+        bi = int(bi) % q
+        if bi:
+            idx = (idx + bi * (np.asarray(c, dtype=np.int64) % q)) % q
+    return idx
+
+
 def weyl_sum_direct(poly: IntPolynomial, q: int, b) -> complex:
     """One complete sum by exact modular phases and compensated accumulation."""
     if not is_prime(q):
         raise InputError(f"modulus {q} is not prime")
-    b = tuple(int(v) % q for v in b)
     if len(b) != poly.dim:
         raise InputError(f"b has {len(b)} components, polynomial dimension is {poly.dim}")
-    d = poly.dim
-    idx = phase_residues(poly, q).astype(np.int64)
-    for i, bi in enumerate(b):
-        if bi:
-            r = np.arange(q, dtype=np.int64).reshape((1,) * i + (q,) + (1,) * (d - 1 - i))
-            idx = (idx + bi * r) % q
-    return csum_complex(roots_of_unity(q)[idx])
+    return csum_complex(roots_of_unity(q)[phase_index(poly, b, q)])
 
 
 def _table_direct(grid: np.ndarray, q: int) -> np.ndarray:
@@ -119,7 +124,8 @@ def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
         raise ResourceError(f"table of q^d = {q**d} entries exceeds guard {TABLE_GUARD}")
     grid = roots_of_unity(q)[phase_residues(poly, q)]
     if method == "dft":
-        values = np.fft.ifftn(grid) * float(q) ** d
+        values = np.fft.ifftn(grid, out=grid)
+        values *= float(q) ** d
     elif method == "direct":
         values = _table_direct(grid, q)
     else:
@@ -138,100 +144,60 @@ def parseval_defect(table: WeylTable) -> float:
     return abs(total - target) / target
 
 
+def _degree_report(max_mod: float, q: int, d: int, k: int) -> DeligneReport:
+    if k < 2:
+        raise InputError(f"degree must be >= 2, got {k}")
+    root = float(q) ** (d / 2)
+    bound = (k - 1) * root
+    classical = float(k - 1) ** d * root
+    return DeligneReport(
+        max_modulus=max_mod, bound=bound, ok=bool(max_mod <= bound * (1 + 1e-12)),
+        classical_bound=classical, classical_ok=bool(max_mod <= classical * (1 + 1e-12)),
+    )
+
+
 def deligne_check(table: WeylTable, k: int) -> DeligneReport:
-    """Compare max_b |S(b)| against the degree bound (k-1) * q^(d/2).
+    """Compare max_b |S(b)| against the per-degree bound (k-1) q^(d/2)
+    and the classical bound (k-1)^d q^(d/2).
 
     Report only; violations are the caller's to interpret. Callers are
     expected to have filtered out primes dividing k.
     """
-    if k < 2:
-        raise InputError(f"degree must be >= 2, got {k}")
-    bound = (k - 1) * float(table.q) ** (table.d / 2)
-    max_mod = float(np.abs(table.values).max())
-    return DeligneReport(max_modulus=max_mod, bound=bound, ok=bool(max_mod <= bound * (1 + 1e-12)))
-
-
-def _good_set_from_moduli(moduli: np.ndarray, q: int, d: int, c: float, k: int, deligne_ok: bool) -> GoodSet:
-    threshold = c * float(q) ** (d / 2)
-    mask = moduli >= threshold
-    members = np.argwhere(mask).astype(np.int64)
-    order = np.lexsort(members.T[::-1]) if members.size else np.array([], dtype=np.intp)
-    members = members[order]
-    density = members.shape[0] / float(q) ** d
-    gs = GoodSet(q=q, d=d, c=c, threshold=threshold, members=members, density=density)
-    if deligne_ok:
-        guaranteed = (1 - c * c) / (k - 1) ** 2
-        if density < guaranteed * (1 - 1e-9):
-            raise InvariantError(
-                f"good-set density {density:.6f} below guaranteed {guaranteed:.6f} "
-                f"for q={q}, d={d}, c={c} despite max-modulus bound holding"
-            )
-    return gs
+    return _degree_report(float(np.abs(table.values).max()), table.q, table.d, k)
 
 
 def good_set(table: WeylTable, c: float, k: int) -> GoodSet:
-    """Residues b with |S(b)| >= c * q^(d/2).
+    """Residues b with |S(b)| >= c * q^(d/2), in lexicographic order.
 
-    When the degree bound holds on the table, the density is checked
-    against its guaranteed floor (1-c^2)/(k-1)^2.
+    Parseval bounds the density below by (1-c^2) q^d / max|S|^2. When
+    the per-degree bound holds on the table the density is checked
+    against (1-c^2)/(k-1)^2; otherwise, when the classical bound holds,
+    against (1-c^2)/(k-1)^(2d). Tables above both bounds are not checked.
     """
     if not 0 < c < 1:
         raise InputError(f"threshold constant must be in (0,1), got {c}")
-    report = deligne_check(table, k)
-    return _good_set_from_moduli(np.abs(table.values), table.q, table.d, c, k, report.ok)
-
-
-def good_set_streamed(poly: IntPolynomial, q: int, c: float, k: int) -> GoodSet:
-    """Good set without retaining the table.
-
-    The phase grid is transformed in place along the trailing axes one
-    leading-axis slab at a time, then each output slab of S is formed by
-    a length-q contraction and immediately reduced to membership bits,
-    the running maximum, and the Parseval accumulator.
-    """
-    if not 0 < c < 1:
-        raise InputError(f"threshold constant must be in (0,1), got {c}")
-    if not is_prime(q):
-        raise InputError(f"modulus {q} is not prime")
-    d = poly.dim
-    if q**d > TABLE_GUARD:
-        raise ResourceError(f"q^d = {q**d} exceeds guard {TABLE_GUARD}")
-    if d == 1:
-        return good_set(weyl_table(poly, q), c, k)
-    grid = roots_of_unity(q)[phase_residues(poly, q)]
-    for r0 in range(q):
-        grid[r0] = np.fft.ifftn(grid[r0]) * float(q) ** (d - 1)
-    roots = roots_of_unity(q)
+    q, d = table.q, table.d
+    moduli = np.abs(table.values)
+    report = _degree_report(float(moduli.max()), q, d, k)
     threshold = c * float(q) ** (d / 2)
-    members = []
-    max_mod = 0.0
-    power = 0.0
-    for b0 in range(q):
-        slab = np.tensordot(roots[(b0 * np.arange(q)) % q], grid, axes=([0], [0]))
-        mods = np.abs(slab)
-        power += float((mods**2).sum())
-        max_mod = max(max_mod, float(mods.max()))
-        for rest in np.argwhere(mods >= threshold):
-            members.append((b0, *map(int, rest)))
-    target = float(q) ** (2 * d)
-    defect = abs(power - target) / target
-    if defect > PARSEVAL_TOL:
-        raise InvariantError(f"Parseval defect {defect:.3e} above {PARSEVAL_TOL} for q={q}, d={d}")
-    arr = np.array(sorted(members), dtype=np.int64).reshape(len(members), d)
-    bound = (k - 1) * float(q) ** (d / 2)
-    gs = GoodSet(
-        q=q, d=d, c=c, threshold=threshold, members=arr,
-        density=len(members) / float(q) ** d,
-    )
-    if max_mod <= bound * (1 + 1e-12):
-        guaranteed = (1 - c * c) / (k - 1) ** 2
-        if gs.density < guaranteed * (1 - 1e-9):
-            raise InvariantError(f"good-set density {gs.density:.6f} below floor for q={q}")
-    return gs
+    # argwhere lists a C-order mask's indices in lex order; its result is
+    # a transposed view, copied here into contiguous rows
+    members = np.ascontiguousarray(np.argwhere(moduli >= threshold), dtype=np.int64)
+    density = members.shape[0] / float(q) ** d
+    floor = None
+    if report.ok:
+        floor = (1 - c * c) / (k - 1) ** 2
+    elif report.classical_ok:
+        floor = (1 - c * c) / (k - 1) ** (2 * d)
+    if floor is not None and density < floor * (1 - 1e-9):
+        which = "per-degree" if report.ok else "classical"
+        raise InvariantError(
+            f"good-set density {density:.6f} below guaranteed {floor:.6f} "
+            f"for q={q}, d={d}, c={c} despite the {which} max-modulus bound holding"
+        )
+    return GoodSet(q=q, d=d, c=c, threshold=threshold, members=members, density=density)
 
 
 def good_set_for(poly: IntPolynomial, q: int, c: float, k: int) -> GoodSet:
-    """Table-backed good set, streamed when q^d is too large to keep."""
-    if q**poly.dim > STREAM_THRESHOLD:
-        return good_set_streamed(poly, q, c, k)
+    """Good set of q, read off the full Weyl table of poly."""
     return good_set(weyl_table(poly, q), c, k)

@@ -166,6 +166,32 @@ def test_dimension_degree_validation(capsys):
     assert code == 0
 
 
+def test_verify_deligne_reports_classical_bound(capsys):
+    poly2 = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
+    code, out = run(capsys, "verify-deligne", "--poly", poly2, "--q", "5")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["ok"] is False and obj["classical_ok"] is True
+    assert obj["bound"] == pytest.approx(10.0, abs=1e-12)
+    assert obj["classical_bound"] == pytest.approx(20.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf"])
+def test_lattice_count_non_finite_bound_exit_2(capsys, bound):
+    code, out = run(capsys, "lattice-count", "5", "7", bound)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_non_finite_rho_exit_2(capsys, tmp_path, rho):
+    path = tmp_path / "xn.csv"
+    code, _ = run(capsys, "build-xn", "--poly", P_SQ, "--n", "1024", "--rho", rho, "--out", str(path))
+    assert code == 2 and not path.exists()
+    code, out = run(capsys, "ratio-experiment", "--poly", P_SQ, "--s", "0.25",
+                    "--n-ladder", "1024,2048,4096", "--rho", rho)
+    assert code == 2 and out == ""
+
+
 def _xn_file(tmp_path, header: str) -> str:
     path = tmp_path / "xn.csv"
     path.write_text(header + "\nq,b0\n37,5\n")

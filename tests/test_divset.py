@@ -49,7 +49,7 @@ def test_build_n4096_band_and_count():
     assert x.primes == [67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127]
     assert x.ball_count == sum(x.primes) == 1219
     for q in x.primes:
-        assert x.good_sets[q].density == 1.0
+        assert x.balls_by_q[q].shape[0] == q
 
 
 def test_build_ball_count_floor():

@@ -111,6 +111,13 @@ def test_lattice_count_validation():
         lattice_pair_count(5, 5, -1.0)
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("fn", [lattice_pair_count, lattice_pair_count_bruteforce, close_fraction_pairs])
+def test_non_finite_bound_rejected(fn, bound):
+    with pytest.raises(InputError):
+        fn(5, 7, bound)
+
+
 def _close_pairs_brute(q, qp, bound):
     out = []
     for b in range(q):

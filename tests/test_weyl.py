@@ -1,20 +1,24 @@
 """Complete exponential sums: closed-form values, the Parseval identity,
-two-path table agreement, size bounds, and good sets."""
+two-path table agreement, size bounds, good sets, and the exact-phase
+kernel."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylmax.errors import InputError, ResourceError
-from weylmax.numtheory import primes_in_band
+from weylmax.errors import InputError, InvariantError, ResourceError
+from weylmax.numtheory import eval_poly_mod, is_prime, primes_in_band
 from weylmax.poly import IntPolynomial, family_diagonal, family_power_laplacian
 from weylmax.weyl import (
+    WeylTable,
     deligne_check,
     good_set,
     good_set_for,
-    good_set_streamed,
     parseval_defect,
+    phase_index,
     weyl_sum_direct,
     weyl_table,
 )
@@ -131,12 +135,12 @@ def test_good_set_threshold_monotone():
     t = weyl_table(P_CUBE, 31)
     prev = None
     for c in (0.9, 0.5, 0.2, 0.05):
-        members = good_set(t, c, 3).member_set()
+        members = {tuple(row) for row in good_set(t, c, 3).members.tolist()}
         if prev is not None:
             assert prev <= members
         prev = members
     nonzero = {(b,) for b in range(31) if abs(t.values[b]) > 0}
-    assert good_set(t, 1e-9, 3).member_set() >= nonzero
+    assert {tuple(row) for row in good_set(t, 1e-9, 3).members.tolist()} >= nonzero
 
 
 def test_good_set_rejects_bad_threshold():
@@ -146,29 +150,53 @@ def test_good_set_rejects_bad_threshold():
             good_set(t, c, 2)
 
 
-def test_streamed_good_set_matches_table_path():
-    p = family_diagonal(2, 3)
-    for q in (11, 31):
-        a = good_set(weyl_table(p, q), 0.5, 3)
-        b = good_set_streamed(p, q, 0.5, 3)
-        assert a.member_set() == b.member_set()
+def test_good_set_for_matches_direct_table():
+    for p, q in ((family_diagonal(2, 3), 11), (family_diagonal(2, 3), 31), (family_diagonal(3, 3), 11)):
+        a = good_set_for(p, q, 0.5, 3)
+        b = good_set(weyl_table(p, q, method="direct"), 0.5, 3)
+        assert np.array_equal(a.members, b.members)
         assert a.density == b.density
+        # members are lex sorted, as the divergence-set key index assumes
+        keys = np.ravel_multi_index(tuple(a.members.T), (q,) * p.dim)
+        assert np.all(np.diff(keys) > 0)
 
 
-def test_good_set_for_dispatches_to_stream(monkeypatch):
-    import weylmax.weyl as wmod
+def test_good_set_classical_floor_d2():
+    # max |S| = 15 lies above the per-degree bound 2*5 and below the
+    # classical 2^2*5, so the floor (1-c^2)/(k-1)^(2d) = 0.75/16 applies
+    values = np.zeros((5, 5), dtype=complex)
+    values[1, 2] = 15.0
+    table = WeylTable(q=5, d=2, values=values, build_method="dft")
+    rep = deligne_check(table, 3)
+    assert not rep.ok and rep.classical_ok
+    with pytest.raises(InvariantError):
+        good_set(table, 0.5, 3)
+    values[1, 2] = 25.0  # above both bounds: no floor is checked
+    assert good_set(table, 0.5, 3).density == 1 / 25
 
-    calls = {}
-    real = wmod.good_set_streamed
 
-    def spy(*args, **kwargs):
-        calls["hit"] = True
-        return real(*args, **kwargs)
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
 
-    monkeypatch.setattr(wmod, "STREAM_THRESHOLD", 100)
-    monkeypatch.setattr(wmod, "good_set_streamed", spy)
-    gs = good_set_for(family_diagonal(2, 3), 11, 0.5, 3)
-    assert calls.get("hit") and gs.density > 0
+
+# 2^31 - 1, the largest modulus the grid kernel accepts, is prime
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), q=st.integers(2, 2**31 - 1).map(_next_prime), data=st.data())
+def test_phase_index_matches_scalar_oracle(d, q, data):
+    big = st.integers(-(2**62), 2**62)
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 5)] * d), st.integers(-(10**12), 10**12),
+        min_size=1, max_size=4,
+    ))
+    p = IntPolynomial(d, terms)
+    b = data.draw(st.lists(big, min_size=d, max_size=d))
+    pts = data.draw(st.lists(st.lists(big, min_size=d, max_size=d), min_size=1, max_size=6))
+    comps = tuple(np.array([r[i] for r in pts], dtype=np.int64) for i in range(d))
+    got = phase_index(p, b, q, comps)
+    want = [(eval_poly_mod(p, r, q) + sum(bi * ri for bi, ri in zip(b, r))) % q for r in pts]
+    assert got.tolist() == want
 
 
 def test_table_memory_guard():
