@@ -77,11 +77,14 @@ def _json_out(obj: dict, out_path: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True, default=float), out_path)
 
 
-def _parse_vector(text: str, name: str) -> tuple:
-    try:
-        return tuple(float(v) if "." in v or "e" in v.lower() else int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"cannot parse {name} {text!r}: {exc}") from exc
+def _parse_vector(text: str, name: str) -> tuple[float, ...]:
+    out = []
+    for v in text.split(","):
+        try:
+            out.append(float(v))
+        except ValueError:
+            raise InputError(f"{name} component {v!r} in {text!r} is not a number") from None
+    return tuple(out)
 
 
 def cmd_weyl_table(args) -> int:
@@ -130,7 +133,7 @@ def cmd_good_set(args) -> int:
     return EXIT_OK
 
 
-def _parse_residues(text: str, name: str) -> tuple[int, ...]:
+def _parse_ints(text: str, name: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
@@ -140,7 +143,7 @@ def _parse_residues(text: str, name: str) -> tuple[int, ...]:
 def cmd_solution_eval(args) -> int:
     p = _load_poly(args)
     f = datum_mod.datum_coefficients(args.n, p.dim)
-    b = _parse_residues(args.b, "--b")
+    b = _parse_ints(args.b, "--b")
     delta = _parse_vector(args.delta, "--delta") if args.delta else (0.0,) * p.dim
     pt = datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
     u = datum_mod.evaluate_solution(p, f, pt)
@@ -153,7 +156,7 @@ def cmd_solution_eval(args) -> int:
 def cmd_decompose(args) -> int:
     p = _load_poly(args)
     f = datum_mod.datum_coefficients(args.n, p.dim)
-    b = _parse_residues(args.b, "--b")
+    b = _parse_ints(args.b, "--b")
     delta = _parse_vector(args.delta, "--delta") if args.delta else (0.0,) * p.dim
     pt = datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
     table = weyl.weyl_table(p, args.q)
@@ -247,7 +250,7 @@ def cmd_measure_xn(args) -> int:
 
 def cmd_ratio_experiment(args) -> int:
     p = _load_poly(args)
-    ladder = [int(v) for v in args.n_ladder.split(",")]
+    ladder = list(_parse_ints(args.n_ladder, "--n-ladder"))
     cfg = experiment.ExperimentConfig(
         c=args.c, rho=args.rho, seed=args.seed,
         sample_budget=args.budget, mc_samples=args.samples, threads=args.threads,

@@ -116,6 +116,8 @@ class RationalPoint:
         delta = tuple(float(v) for v in self.delta)
         if len(delta) != len(b):
             raise InputError(f"delta has {len(delta)} components, b has {len(b)}")
+        if not all(math.isfinite(v) for v in delta):
+            raise InputError(f"delta components must be finite, got {delta}")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "delta", delta)
 

@@ -26,7 +26,7 @@ from .datum import Datum, datum_coefficients, sobolev_norm_sq
 from .decomp import fold_axis  # noqa: F401 -- re-exported; perfbench/tracer.py wraps this binding
 from .divset import DivergenceSet, build_divergence_set, measure
 from .errors import InputError, InvariantError, ResourceError
-from .poly import IntPolynomial
+from .poly import IntPolynomial, axis_parts
 from .weyl import phase_residues, roots_of_unity
 
 CSV_COLUMNS = ["N", "Q", "J", "measure", "measure_err", "sup_lb", "hs_norm", "ratio", "wall_ms"]
@@ -167,6 +167,21 @@ def _shifted_values(
     return out
 
 
+def _ball_values(
+    mom: np.ndarray, poly: IntPolynomial, rows: np.ndarray, deltas: np.ndarray, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """|value| at delta = 0 and at the given deltas for each ball of one
+    prime, under a symbol whose dimension is rows.shape[1]."""
+    q = mom.shape[1]
+    d = rows.shape[1]
+    pg = roots_of_unity(q)[phase_residues(poly, q)]
+    w = mom[0]
+    for _ in range(d - 1):
+        w = np.multiply.outer(w, mom[0])
+    u_all = np.fft.ifftn(w * pg) * float(q) ** d
+    return np.abs(u_all[tuple(rows.T)]), _shifted_values(mom, pg, rows, deltas, N)
+
+
 def solution_scan(
     poly: IntPolynomial,
     f: Datum,
@@ -186,8 +201,12 @@ def solution_scan(
     computed once. The delta = 0 values for all residues come from a
     single FFT of M[0] against the phase grid e(P(r)/q); a perturbed
     axis fold is sum_j (2 pi i delta_i N)^j / j! M[j], whose truncation
-    error is certified below. threads is accepted for compatibility and
-    ignored: the batched scan has no per-ball work left to spread.
+    error is certified below. When no monomial of the symbol mixes
+    variables (poly.axis_parts), both values of a ball are products of d
+    such one-dimensional values, one per axis, and no q^d grid is built;
+    the same certificate bounds the product's tail. threads is accepted
+    for compatibility and ignored: the batched scan has no per-ball work
+    left to spread.
     """
     rng = np.random.default_rng(seed)
     groups = _sample(x, sample_budget, rng)
@@ -195,17 +214,19 @@ def solution_scan(
     budget = x.rho / (f.d * f.N)
     deltas = rng.uniform(-budget, budget, size=(n_chosen, f.d))
 
-    center_vals = np.empty(n_chosen)
-    shifted_vals = np.empty(n_chosen)
+    parts = axis_parts(poly)
+    if parts is None:
+        pieces = [(poly, slice(None))]
+    else:
+        pieces = [(part, slice(i, i + 1)) for i, part in enumerate(parts)]
+    center_vals = np.ones(n_chosen)
+    shifted_vals = np.ones(n_chosen)
     for q, pos, rows in groups:
-        pg = roots_of_unity(q)[phase_residues(poly, q)]
         mom = _moments(f, q)
-        w = mom[0]
-        for _ in range(f.d - 1):
-            w = np.multiply.outer(w, mom[0])
-        u_all = np.fft.ifftn(w * pg) * float(q) ** f.d
-        center_vals[pos] = np.abs(u_all[tuple(rows.T)])
-        shifted_vals[pos] = _shifted_values(mom, pg, rows, deltas[pos], f.N)
+        for part, axes in pieces:
+            center, shifted = _ball_values(mom, part, rows[:, axes], deltas[pos, axes], f.N)
+            center_vals[pos] *= center
+            shifted_vals[pos] *= shifted
 
     # |e(theta) - Taylor_K(theta)| <= eta for |theta| <= x_max on every axis
     x_max = 2.0 * np.pi * budget * float(f.axis_n.max())
@@ -253,6 +274,8 @@ def ratio_experiment(
         raise InputError(f"ladder must be strictly ascending, got {ladder}")
     if not ladder or ladder[0] < 256:
         raise InputError(f"every ladder scale must be >= 256, got {ladder}")
+    if not math.isfinite(s):
+        raise InputError(f"Sobolev index must be finite, got {s}")
     d = poly.dim
     k = poly.degree()
     if k < 2:

@@ -62,6 +62,23 @@ class IntPolynomial:
         return total
 
 
+def axis_parts(poly: IntPolynomial) -> tuple[IntPolynomial, ...] | None:
+    """One-variable parts P_1, ..., P_d with P(r) = sum_i P_i(r_i), or None.
+
+    Each part is a d=1 polynomial; the constant term goes to the first
+    axis. Returns None when a monomial mixes two or more variables. A
+    d=1 symbol is its own single part.
+    """
+    parts: list[dict[tuple[int], int]] = [{} for _ in range(poly.dim)]
+    for expo, coeff in poly.terms.items():
+        axes = [i for i, e in enumerate(expo) if e]
+        if len(axes) > 1:
+            return None
+        i = axes[0] if axes else 0
+        parts[i][(expo[i],)] = coeff
+    return tuple(IntPolynomial(1, t) for t in parts)
+
+
 def family_diagonal(d: int, k: int) -> IntPolynomial:
     """Sum of k-th powers of the coordinates, degree k >= 2."""
     if d < 1:

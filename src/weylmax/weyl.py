@@ -8,14 +8,14 @@ Parseval identity sum_b |S(b)|^2 = q^(2d) before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .accum import csum_complex
 from .errors import InputError, InvariantError, ResourceError
 from .numtheory import eval_poly_mod_grid, is_prime
-from .poly import IntPolynomial
+from .poly import IntPolynomial, axis_parts
 
 TABLE_GUARD = 1 << 28  # max q^d entries for a materialized table
 PARSEVAL_TOL = 1e-9
@@ -97,6 +97,14 @@ def weyl_sum_direct(poly: IntPolynomial, q: int, b) -> complex:
     return csum_complex(roots_of_unity(q)[phase_index(poly, b, q)])
 
 
+def _table_dft(poly: IntPolynomial, q: int) -> np.ndarray:
+    """q^d * ifftn of the phase grid e(P(r)/q), transformed in place."""
+    values = roots_of_unity(q)[phase_residues(poly, q)]
+    values = np.fft.ifftn(values, out=values)
+    values *= float(q) ** poly.dim
+    return values
+
+
 def _table_direct(grid: np.ndarray, q: int) -> np.ndarray:
     """Axis-by-axis contraction against the exact root-of-unity matrix.
 
@@ -114,20 +122,22 @@ def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
     """All S(b), b in F_q^d.
 
     The default path evaluates the d-dimensional inverse FFT of the grid
-    r -> e(P(r)/q), scaled by q^d so entries match weyl_sum_direct. The
-    "direct" path is the exact-phase contraction used as an oracle.
+    r -> e(P(r)/q), scaled by q^d so entries match weyl_sum_direct. When
+    no monomial mixes variables, e(P(r)/q) factors over the axes and the
+    table is the outer product of the d one-dimensional tables of the
+    parts P_i (see poly.axis_parts). The "direct" path is the exact-phase
+    contraction of the full grid, used as an oracle.
     """
     if not is_prime(q):
         raise InputError(f"modulus {q} is not prime")
     d = poly.dim
     if q**d > TABLE_GUARD:
         raise ResourceError(f"table of q^d = {q**d} entries exceeds guard {TABLE_GUARD}")
-    grid = roots_of_unity(q)[phase_residues(poly, q)]
     if method == "dft":
-        values = np.fft.ifftn(grid, out=grid)
-        values *= float(q) ** d
+        parts = axis_parts(poly) or (poly,)
+        values = reduce(np.multiply.outer, [_table_dft(p, q) for p in parts])
     elif method == "direct":
-        values = _table_direct(grid, q)
+        values = _table_direct(roots_of_unity(q)[phase_residues(poly, q)], q)
     else:
         raise InputError(f"unknown build method {method!r}")
     table = WeylTable(q=q, d=d, values=values, build_method=method)

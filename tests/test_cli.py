@@ -22,6 +22,13 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_err(capsys, *argv):
+    """Exit code, standard output and standard error of one command."""
+    code = dispatch(list(argv))
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
 def test_selftest_green(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0
@@ -190,6 +197,29 @@ def test_non_finite_rho_exit_2(capsys, tmp_path, rho):
     code, out = run(capsys, "ratio-experiment", "--poly", P_SQ, "--s", "0.25",
                     "--n-ladder", "1024,2048,4096", "--rho", rho)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("ladder", ["a,b", "512,,1024", "1024,2048.5,4096"])
+def test_ratio_experiment_bad_ladder_exit_2(capsys, ladder):
+    code, out, err = run_err(capsys, "ratio-experiment", "--poly", P_SQ, "--s", "0", "--n-ladder", ladder)
+    assert code == 2 and out == "" and "--n-ladder" in err
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_ratio_experiment_non_finite_s_exit_2(capsys, s):
+    code, out = run(capsys, "ratio-experiment", "--poly", P_SQ, "--s", s, "--n-ladder", "1024,2048,4096")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", ["solution-eval", "decompose"])
+def test_non_finite_delta_exit_2(capsys, command):
+    base = [command, "--poly", P_SQ, "--n", "256", "--q", "17", "--b", "3"]
+    assert run(capsys, *base, "--delta", "1e-5")[0] == 0
+    for delta in ("1e400", "nan", "-inf"):
+        code, out, err = run_err(capsys, *base, f"--delta={delta}")
+        assert code == 2 and out == "" and "finite" in err
+    code, out, err = run_err(capsys, *base, "--delta", "0.5x")
+    assert code == 2 and out == "" and "'0.5x'" in err
 
 
 def _xn_file(tmp_path, header: str) -> str:

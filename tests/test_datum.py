@@ -134,6 +134,12 @@ def test_rational_point_normalizes_residues():
         RationalPoint(b=(0, 1), q=5, delta=(0.0,))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_rational_point_rejects_non_finite_delta(bad):
+    with pytest.raises(InputError):
+        RationalPoint(b=(1, 2), q=5, delta=(0.0, bad))
+
+
 def test_solution_at_time_zero_is_coefficient_sum():
     # the zero polynomial kills the time phase; at b=0, delta=0 the sum
     # is just sum phi(n/N), a Riemann sum of N * integral of the bump

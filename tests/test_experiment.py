@@ -17,7 +17,7 @@ from weylmax.experiment import (
     rows_to_csv,
     solution_scan,
 )
-from weylmax.poly import family_diagonal
+from weylmax.poly import family_diagonal, family_power_laplacian
 from weylmax.weyl import weyl_table
 
 P_SQ = family_diagonal(1, 2)
@@ -124,6 +124,44 @@ def test_scan_quantiles_ordered():
     assert qs["min"] == scan.sup_lb and qs["max"] == scan.max_value
 
 
+def _diagonal_set(p, n):
+    """The divergence set of p at scale n; for d = 3, where every usable
+    band needs n > 4096, the good sets of a few small primes instead."""
+    if p.dim < 3:
+        return build_divergence_set(p, n)
+    from weylmax.divset import from_balls
+    from weylmax.weyl import good_set_for
+
+    primes = [11, 13, 17]
+    balls = [(q, tuple(b)) for q in primes for b in good_set_for(p, q, 0.5, p.degree()).members.tolist()]
+    return from_balls(n, p.dim, 1 / 32, 0.5, primes[0], balls, p)
+
+
+@pytest.mark.parametrize("d,k,n", [(2, 2, 512), (2, 3, 512), (3, 2, 64)])
+def test_split_scan_matches_general_path(monkeypatch, d, k, n):
+    from weylmax import experiment
+
+    p = family_diagonal(d, k)
+    f = datum_coefficients(n, d)
+    x = _diagonal_set(p, n)
+    split = solution_scan(p, f, x, sample_budget=400, seed=3)
+    monkeypatch.setattr(experiment, "axis_parts", lambda poly: None)
+    general = solution_scan(p, f, x, sample_budget=400, seed=3)
+    rel = lambda a, b: abs(a - b) / abs(b)
+    assert rel(split.sup_lb, general.sup_lb) < 1e-12
+    assert rel(split.max_value, general.max_value) < 1e-12
+    assert all(rel(split.quantiles[key], general.quantiles[key]) < 1e-12 for key in general.quantiles)
+    assert (split.witness_q, split.witness_b) == (general.witness_q, general.witness_b)
+    assert split.witness_delta == general.witness_delta
+    assert split.n_sampled == general.n_sampled == 400
+
+
+def test_ratio_experiment_rejects_non_finite_s():
+    for s in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError):
+            ratio_experiment(P_SQ, s, [1024, 2048, 4096])
+
+
 def test_ladder_validation():
     from weylmax.poly import IntPolynomial
 
@@ -183,15 +221,19 @@ def test_monotone_positive_slope_d2(k):
     assert res.slope > 0
 
 
-@pytest.mark.parametrize("d,n", [(1, 2048), (2, 512)])
-def test_scan_shifted_values_match_exact_refold(d, n):
+@pytest.mark.parametrize("p,n", [
+    pytest.param(family_diagonal(1, 2), 2048, id="1-2048"),
+    pytest.param(family_diagonal(2, 2), 512, id="2-512"),
+    pytest.param(family_power_laplacian(2, 2), 512, id="laplacian2-512"),
+])
+def test_scan_shifted_values_match_exact_refold(p, n):
     import numpy as np
 
     from weylmax import experiment
     from weylmax.decomp import fold, folded_eval
     from weylmax.weyl import phase_residues, roots_of_unity
 
-    p = family_diagonal(d, 2)
+    d = p.dim
     f = datum_coefficients(n, d)
     x = build_divergence_set(p, n)
     rng = np.random.default_rng(1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from weylmax.errors import InputError
 from weylmax.poly import (
     IntPolynomial,
+    axis_parts,
     family_diagonal,
     family_power_laplacian,
     parse_polynomial,
@@ -122,3 +123,33 @@ def test_serialize_roundtrip(d, data):
     back = parse_polynomial(to_json(p))
     assert back.dim == p.dim and back.terms == p.terms
     assert json.loads(to_json(back)) == json.loads(to_json(p))
+
+
+def test_axis_parts_of_diagonal_families():
+    for d, k in ((1, 2), (2, 2), (2, 3), (3, 2), (3, 5)):
+        parts = axis_parts(family_diagonal(d, k))
+        assert [part.terms for part in parts] == [{(k,): 1}] * d
+        assert all(part.dim == 1 for part in parts)
+
+
+def test_axis_parts_keep_linear_and_constant_terms():
+    # X1^3 + 2 X1 + X2^2 + 3: the constant goes to the first axis
+    p = IntPolynomial(2, {(3, 0): 1, (1, 0): 2, (0, 2): 1, (0, 0): 3})
+    assert [part.terms for part in axis_parts(p)] == [{(3,): 1, (1,): 2, (0,): 3}, {(2,): 1}]
+    q = IntPolynomial(3, {(0, 0, 4): -1, (0, 1, 0): 5, (2, 0, 0): 7, (0, 0, 0): -2})
+    parts = axis_parts(q)
+    assert [part.terms for part in parts] == [{(2,): 7, (0,): -2}, {(1,): 5}, {(4,): -1}]
+    for r in ((0, 0, 0), (3, -2, 5), (-7, 11, 2)):
+        assert q.evaluate(r) == sum(part.evaluate((ri,)) for part, ri in zip(parts, r))
+    # an axis with no terms is the zero polynomial
+    assert axis_parts(IntPolynomial(2, {(2, 0): 1}))[1].terms == {}
+
+
+def test_axis_parts_refuse_mixed_monomials():
+    for d in (2, 3):
+        for k in (2, 3):
+            assert axis_parts(family_power_laplacian(d, k)) is None
+        assert axis_parts(family_power_laplacian(d, 1)) is not None
+    assert axis_parts(IntPolynomial(2, {(2, 0): 1, (0, 2): 1, (1, 1): 1})) is None
+    p = family_power_laplacian(1, 3)
+    assert [part.terms for part in axis_parts(p)] == [p.terms]

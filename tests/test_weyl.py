@@ -25,6 +25,8 @@ from weylmax.weyl import (
 
 P_SQ = family_diagonal(1, 2)
 P_CUBE = family_diagonal(1, 3)
+# X1^3 + 2 X1 + X2^2 + 3: splits over the axes, parts of different degree
+P_MIXED = IntPolynomial(2, {(3, 0): 1, (1, 0): 2, (0, 2): 1, (0, 0): 3})
 
 
 def test_gauss_sum_q5():
@@ -79,6 +81,8 @@ def test_two_path_agreement_full_matrix():
     for d in (1, 2):
         fams = [family_power_laplacian(d, k) for k in (1, 2, 3, 4)]
         fams += [family_diagonal(d, k) for k in (2, 3, 4)]
+        if d == 2:
+            fams.append(P_MIXED)
         for p in fams:
             for q in primes:
                 t_dft = weyl_table(p, q, method="dft")
@@ -151,7 +155,8 @@ def test_good_set_rejects_bad_threshold():
 
 
 def test_good_set_for_matches_direct_table():
-    for p, q in ((family_diagonal(2, 3), 11), (family_diagonal(2, 3), 31), (family_diagonal(3, 3), 11)):
+    for p, q in ((family_diagonal(2, 3), 11), (family_diagonal(2, 3), 31), (family_diagonal(3, 3), 11),
+                 (P_MIXED, 13), (P_MIXED, 101)):
         a = good_set_for(p, q, 0.5, 3)
         b = good_set(weyl_table(p, q, method="direct"), 0.5, 3)
         assert np.array_equal(a.members, b.members)
