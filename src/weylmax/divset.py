@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .numtheory import band_start, close_fraction_pairs, is_prime, primes_in_band
 from .poly import IntPolynomial
-from .weyl import good_set_for, weyl_sum_direct
+from .weyl import TABLE_GUARD, good_set_for, weyl_sum_direct
 
 log = logging.getLogger(__name__)
 
@@ -31,24 +31,24 @@ class DivergenceSet:
     rho: float
     c: float
     Q: int
-    balls_by_q: dict[int, np.ndarray]  # q -> (m, d) residue array, lex sorted
+    good_by_q: dict[int, np.ndarray]  # q -> C-order bool mask of shape (q,)*d
     polynomial: IntPolynomial | None = None
 
     @property
     def ball_count(self) -> int:
-        return sum(arr.shape[0] for arr in self.balls_by_q.values())
+        return sum(int(np.count_nonzero(mask)) for mask in self.good_by_q.values())
 
     @property
     def primes(self) -> list[int]:
-        return sorted(self.balls_by_q)
+        return sorted(self.good_by_q)
+
+    def rows(self, q: int) -> np.ndarray:
+        """(m, d) residues of the balls of q, in lex order."""
+        return np.argwhere(self.good_by_q[q])
 
     def ball_list(self) -> list[tuple[int, tuple[int, ...]]]:
         """All (q, b) in canonical order: primes ascending, residues lex."""
-        out = []
-        for q in self.primes:
-            for row in self.balls_by_q[q]:
-                out.append((q, tuple(int(v) for v in row)))
-        return out
+        return [(q, tuple(row)) for q in self.primes for row in self.rows(q).tolist()]
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class MeasureResult:
 def build_divergence_set(
     poly: IntPolynomial, N: int, c: float = 0.5, rho: float = 1.0 / 32.0
 ) -> DivergenceSet:
-    """Good sets for every admissible band prime, recorded as ball centers."""
+    """Good sets for every admissible band prime, one residue mask each."""
     d = poly.dim
     k = poly.degree()
     if k < 2:
@@ -87,8 +87,17 @@ def build_divergence_set(
         log.info("dropping band primes dividing the degree %d: %s", k, dropped)
     if not admissible:
         raise InputError(f"no admissible prime in [{Q}, {2*Q}) for degree {k}")
-    balls = {q: good_set_for(poly, q, c, k).members for q in admissible}
-    return DivergenceSet(N=N, d=d, rho=rho, c=c, Q=Q, balls_by_q=balls, polynomial=poly)
+    _check_bitmap_size(admissible, d)
+    good = {q: good_set_for(poly, q, c, k).mask for q in admissible}
+    return DivergenceSet(N=N, d=d, rho=rho, c=c, Q=Q, good_by_q=good, polynomial=poly)
+
+
+def _check_bitmap_size(primes, d: int) -> None:
+    """ResourceError when the masks of ``primes`` would exceed TABLE_GUARD
+    residues in total (one byte each)."""
+    size = sum(int(q) ** d for q in primes)
+    if size > TABLE_GUARD:
+        raise ResourceError(f"residue masks of sum q^d = {size} entries exceed guard {TABLE_GUARD}")
 
 
 def _same_q_offsets(q: int, tau: float) -> list[int]:
@@ -101,78 +110,39 @@ def _same_q_offsets(q: int, tau: float) -> list[int]:
     return sorted(out)
 
 
-def _encode(arr: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Base-q code of each residue row, written into ``out`` when given."""
-    enc = np.empty(arr.shape[0], dtype=np.int64) if out is None else out
-    enc[:] = arr[:, 0] if arr.shape[1] else 0
-    for i in range(1, arr.shape[1]):
-        enc *= q
-        enc += arr[:, i]
-    return enc
-
-
-def _key_index(x: DivergenceSet) -> tuple[dict[int, int], np.ndarray]:
-    """Membership index over all balls: ``(base, keys)``.
-
-    The key of ball (q, b) is ``base[q] + _encode(b, q)``, where
-    ``base[q]`` sums ``q'^d`` over the smaller primes, so keys of
-    different primes never collide. Each prime's rows are lex sorted,
-    hence its codes ascend, and concatenating over ascending primes
-    gives a sorted int64 array without a sort.
-    """
-    base: dict[int, int] = {}
-    keys = np.empty(x.ball_count, dtype=np.int64)
-    offset = start = 0
-    for q in x.primes:
-        arr = x.balls_by_q[q]
-        base[q] = offset
-        seg = _encode(arr, q, out=keys[start : start + arr.shape[0]])
-        seg += offset
-        start += arr.shape[0]
-        offset += q**x.d
-    return base, keys
-
-
-def _is_member(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Boolean mask: which keys occur in the sorted index."""
-    if index.size == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    pos = np.minimum(np.searchsorted(index, keys), index.size - 1)
-    return index[pos] == keys
-
-
-_KEY_BATCH = 1 << 20  # cross-prime candidate keys per batched lookup
+_KEY_BATCH = 1 << 20  # cross-prime candidate products per batched lookup
 
 
 def overlap_pair_count(x: DivergenceSet) -> int:
     """Unordered pairs of balls (self-pairs included) whose centers are
     within 2*rho/N per coordinate on the torus.
 
-    Same-prime blocks reduce to residue offsets; cross-prime blocks use
-    the line-by-line solver for |b*q' - b'*q| <= 2*rho*q*q'/N, with one
-    candidate pair per coordinate per admissible line, multiplied across
-    coordinates. The candidates of every prime pair are stacked into one
-    array, and the d-fold products of all pairs are built from it as
-    keys and tested against the key index in batched lookups, so the
-    cost is O(J + #products) array work plus the line solver.
+    Same-prime blocks reduce to residue offsets: a prime's mask and its
+    cyclic roll by an offset combination overlap in the pairs at that
+    offset. Cross-prime blocks use the line-by-line solver for
+    |b*q' - b'*q| <= 2*rho*q*q'/N, with one candidate pair per coordinate
+    per admissible line, multiplied across coordinates. The candidates of
+    every prime pair are stacked into one array, and the d-fold products
+    of all pairs are looked up in batches in one flat bitmap, the masks
+    of all primes laid end to end, so the cost is O(sum q^d + #products)
+    array work plus the line solver.
     """
     tau = 2.0 * x.rho / x.N
     total = 0
-    qs = [q for q in x.primes if x.balls_by_q[q].shape[0]]
+    qs = [q for q in x.primes if x.good_by_q[q].any()]
+    axes = tuple(range(x.d))
     for q in qs:
-        arr = x.balls_by_q[q]
-        m = arr.shape[0]
+        mask = x.good_by_q[q]
+        m = int(np.count_nonzero(mask))
         offsets = _same_q_offsets(q, tau)
         if offsets == [0]:
             total += m  # only self-pairs
             continue
-        enc_sorted = np.sort(_encode(arr, q))
-        ordered = 0
-        for combo in itertools.product(offsets, repeat=x.d):
-            shifted = (arr + np.array(combo, dtype=np.int64)) % q
-            ordered += int(np.isin(_encode(shifted, q), enc_sorted).sum())
+        ordered = sum(
+            int(np.count_nonzero(mask & np.roll(mask, combo, axis=axes)))
+            for combo in itertools.product(offsets, repeat=x.d)
+        )
         total += (ordered + m) // 2
-    base, index = _key_index(x)
     pairs: list[tuple[int, int, int]] = []  # (q, q', candidate count)
     flat: list[tuple[int, int]] = []
     for i, q in enumerate(qs):
@@ -183,6 +153,9 @@ def overlap_pair_count(x: DivergenceSet) -> int:
                 flat.extend(candidates)
     if not pairs:
         return total
+    bits = np.concatenate([x.good_by_q[q].ravel() for q in qs])
+    sizes = [q**x.d for q in qs]
+    base = dict(zip(qs, np.cumsum(sizes) - sizes))  # q's mask starts here in bits
     cand = np.array(flat, dtype=np.int64)  # rows (b, b'), pair after pair
     q_arr, qp_arr, n = np.array(pairs, dtype=np.int64).T
     base_q = np.array([base[q] for q, _, _ in pairs], dtype=np.int64)
@@ -203,8 +176,7 @@ def overlap_pair_count(x: DivergenceSet) -> int:
             row = cand[first[p] + t // m ** (x.d - 1 - i) % m]
             code = code * q_arr[p] + row[:, 0]
             code_p = code_p * qp_arr[p] + row[:, 1]
-        found = _is_member(np.concatenate([base_q[p] + code, base_qp[p] + code_p]), index)
-        total += int(found.reshape(2, -1).all(axis=0).sum())
+        total += int(np.count_nonzero(bits[base_q[p] + code] & bits[base_qp[p] + code_p]))
     return total
 
 
@@ -214,7 +186,7 @@ def _exact_interval_measure(x: DivergenceSet) -> float:
         return 1.0
     segments = []
     for q in x.primes:
-        for b in x.balls_by_q[q][:, 0]:
+        for b in np.flatnonzero(x.good_by_q[q]):
             lo = (b / q - r) % 1.0
             hi = lo + 2 * r
             if hi <= 1.0:
@@ -271,19 +243,16 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
     ``radius`` of ``b_i/q`` on the circle. Per block the points are
     sorted by their first coordinate once; each prime then tests only
     the points within ``radius + 1e-12`` of a first residue of its balls
-    over ``q`` (its strips). No point outside the strips can pass, as
-    the margin is far above the rounding of the distance, so the hit
-    set equals that of testing every point. No circle distance exceeds
-    0.5, so the strips are capped there.
+    over ``q`` (its strips), and a candidate center is a ball when its
+    residue is set in the prime's mask. No point outside the strips can
+    pass, as the margin is far above the rounding of the distance, so
+    the hit set equals that of testing every point. No circle distance
+    exceeds 0.5, so the strips are capped there.
     """
     radius = x.rho / x.N
     half = min(radius + 1e-12, 0.5)
-    primes = [q for q in x.primes if x.balls_by_q[q].shape[0]]
-    codes = {q: _encode(x.balls_by_q[q], q) for q in primes}
-    centers = {}
-    for q in primes:
-        first = x.balls_by_q[q][:, 0]
-        centers[q] = first[np.r_[True, first[1:] != first[:-1]]] / q
+    primes = [q for q in x.primes if x.good_by_q[q].any()]
+    centers = {q: np.flatnonzero(x.good_by_q[q].reshape(q, -1).any(1)) / q for q in primes}
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     hits = 0
@@ -308,7 +277,7 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
                 inside = np.flatnonzero((dist <= radius).all(axis=1))
                 if inside.size == 0:
                     continue
-                found = inside[np.isin(_encode(bb[inside], q), codes[q])]
+                found = inside[x.good_by_q[q][tuple(bb[inside].T)]]
                 hit[rows[found]] = True
         hits += int(hit.sum())
         done += size
@@ -385,9 +354,10 @@ def from_balls(
     """Rebuild a DivergenceSet from stored balls (CLI read-back).
 
     ``balls`` is a (J, 1 + d) integer array of rows ``q, b_0 .. b_{d-1}``
-    or a list of ``(q, b)`` pairs. Duplicate balls collapse to one. The
-    parameters must pass the checks of ``build_divergence_set``, every
-    modulus must be prime and every residue must lie in [0, q).
+    or a list of ``(q, b)`` pairs, in any order; duplicate balls set the
+    same mask entry. The parameters must pass the checks of
+    ``build_divergence_set``, every modulus must be prime, the masks must
+    fit the resource guard and every residue must lie in [0, q).
     """
     if N < 1 or d < 1:
         raise InputError(f"need N >= 1 and d >= 1, got N = {N}, d = {d}")
@@ -405,30 +375,24 @@ def from_balls(
         rows = rows.reshape(0, 1 + d)
     if rows.ndim != 2 or rows.shape[1] != 1 + d:
         raise InputError(f"balls must form a (J, 1 + d) = (J, {1 + d}) array, got shape {rows.shape}")
-    rows = _sorted_unique_rows(rows)
-    primes, starts = np.unique(rows[:, 0], return_index=True)
-    bounds = np.append(starts, len(rows)).tolist()
-    by_q = {}
-    for q, lo, hi in zip(primes.tolist(), bounds[:-1], bounds[1:]):
+    primes, which = np.unique(rows[:, 0], return_inverse=True)
+    primes = primes.tolist()
+    for q in primes:
         if not is_prime(q):
             raise InputError(f"ball modulus q={q} is not prime")
-        arr = np.ascontiguousarray(rows[lo:hi, 1:])
-        if arr.min() < 0 or arr.max() >= q:
-            raise InputError(f"residues for q={q} must lie in [0, {q}), got range [{arr.min()}, {arr.max()}]")
-        by_q[q] = arr
-    return DivergenceSet(N=N, d=d, rho=rho, c=c, Q=Q, balls_by_q=by_q, polynomial=polynomial)
-
-
-def _sorted_unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows in lex order with duplicates dropped. Input that is already
-    lex sorted (as ``build-xn`` writes it) skips the sort."""
-    if len(rows) < 2:
-        return rows
-    differ = rows[1:] != rows[:-1]
-    first = np.argmax(differ, axis=1)
-    rises = (rows[1:] > rows[:-1])[np.arange(len(first)), first]
-    fresh = differ.any(axis=1)
-    if (fresh & ~rises).any():
-        rows = rows[np.lexsort(rows.T[::-1])]
-        fresh = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[np.r_[True, fresh]]
+    _check_bitmap_size(primes, d)
+    res = rows[:, 1:]
+    bad = ((res < 0) | (res >= rows[:, :1])).any(axis=1)
+    if bad.any():  # checked before indexing: a negative residue would wrap
+        q = int(rows[bad, 0].min())
+        arr = res[rows[:, 0] == q]
+        raise InputError(f"residues for q={q} must lie in [0, {q}), got range [{arr.min()}, {arr.max()}]")
+    sizes = np.array([q**d for q in primes], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    code = np.zeros(len(rows), dtype=np.int64)
+    for i in range(d):
+        code = code * rows[:, 0] + res[:, i]
+    bits = np.zeros(int(sizes.sum()), dtype=bool)  # the masks of all primes, end to end
+    bits[starts[which] + code] = True
+    by_q = {q: bits[lo : lo + size].reshape((q,) * d) for q, lo, size in zip(primes, starts, sizes)}
+    return DivergenceSet(N=N, d=d, rho=rho, c=c, Q=Q, good_by_q=by_q, polynomial=polynomial)

@@ -97,7 +97,7 @@ def _sample(x: DivergenceSet, sample_budget: int, rng) -> list[tuple[int, slice,
     indexing the full ball list would, without materializing it.
     """
     primes = x.primes
-    counts = np.array([x.balls_by_q[q].shape[0] for q in primes], dtype=np.int64)
+    counts = np.array([np.count_nonzero(x.good_by_q[q]) for q in primes], dtype=np.int64)
     total = int(counts.sum())
     if total == 0:
         raise InputError("divergence set has no balls")
@@ -110,7 +110,7 @@ def _sample(x: DivergenceSet, sample_budget: int, rng) -> list[tuple[int, slice,
     starts = np.cumsum(counts) - counts
     cuts = np.searchsorted(flat, np.append(starts, total))
     return [
-        (q, slice(lo, hi), x.balls_by_q[q][flat[lo:hi] - start])
+        (q, slice(lo, hi), x.rows(q)[flat[lo:hi] - start])
         for q, start, lo, hi in zip(primes, starts, cuts[:-1].tolist(), cuts[1:].tolist())
         if hi > lo
     ]

@@ -145,13 +145,33 @@ def eval_poly_mod_grid(poly, comps: tuple[np.ndarray, ...], q: int) -> np.ndarra
     return acc
 
 
+def _line_points(q: int, qp: int, targets, first: int):
+    """Lattice points (b, b') with b*qp - b'*q = s for each s in targets,
+    b in [first, first + q) and b' in [first, first + qp).
+
+    Every s must be a multiple of g = gcd(q, qp). With m = q/g and
+    m' = qp/g coprime, the line s = k*g holds its points at
+    b = k * m'^(-1) (mod m), so each line is walked in steps of m.
+    """
+    g = math.gcd(q, qp)
+    m, mp = q // g, qp // g
+    inv_mp = pow(mp, -1, m) if m > 1 else 0
+    for s in targets:
+        b0 = (s // g * inv_mp - first) % m + first
+        for b in range(b0, first + q, m):
+            bp, rem = divmod(b * qp - s, q)
+            if rem == 0 and first <= bp < first + qp:
+                yield b, bp
+
+
 def lattice_pair_count(q: int, qp: int, bound: float, method: str = "fast") -> int:
     """Number of pairs 1 <= b <= q, 1 <= b' <= qp with 0 < |b*qp - b'*q| <= bound.
 
     The fast path walks the lines b*qp - b'*q = k*g (g = gcd(q, qp),
     0 < |k| <= bound/g); each line carries at most g admissible points,
-    so the total is at most 2*bound. Cost O(bound + log q) versus the
-    O(q*qp) exhaustive grid.
+    so the total is at most 2*bound. Every pair has |b*qp - b'*q| <
+    q*qp, so the bound is clamped there. Cost O(min(bound, q*qp) + log q)
+    versus the O(q*qp) exhaustive grid.
     """
     if q < 1 or qp < 1:
         raise InputError(f"moduli must be positive, got ({q}, {qp})")
@@ -161,26 +181,10 @@ def lattice_pair_count(q: int, qp: int, bound: float, method: str = "fast") -> i
         return lattice_pair_count_bruteforce(q, qp, bound)
     if method != "fast":
         raise InputError(f"unknown method {method!r}")
-
     g = math.gcd(q, qp)
-    kmax = int(math.floor(bound / g))
-    if kmax == 0:
-        return 0
-    m, mp = q // g, qp // g  # coprime reduced moduli
-    inv_mp = pow(mp, -1, m) if m > 1 else 0
-    total = 0
-    for k in range(-kmax, kmax + 1):
-        if k == 0:
-            continue
-        # b*mp - b'*m = k  =>  b = b0 + t*m, with g values of b in [1, q]
-        b0 = (k * inv_mp) % m if m > 1 else 0
-        if b0 == 0:
-            b0 = m
-        for b in range(b0, q + 1, m):
-            bp, rem = divmod(b * mp - k, m)
-            if rem == 0 and 1 <= bp <= qp:
-                total += 1
-    return total
+    kmax = int(math.floor(min(bound, q * qp) / g))
+    lines = (k * g for k in range(-kmax, kmax + 1) if k)
+    return sum(1 for _ in _line_points(q, qp, lines, 1))
 
 
 def lattice_pair_count_bruteforce(q: int, qp: int, bound: float) -> int:
@@ -212,8 +216,6 @@ def close_fraction_pairs(q: int, qp: int, bound: float) -> list[tuple[int, int]]
         # circle distance is at most 1/2, so every pair qualifies
         return [(b, bp) for b in range(q) for bp in range(qp)]
     g = math.gcd(q, qp)
-    m, mp = q // g, qp // g
-    inv_mp = pow(mp, -1, m) if m > 1 else 0
     targets = set()
     kmax = int(math.floor(bound / g))
     for k in range(-kmax, kmax + 1):
@@ -225,13 +227,4 @@ def close_fraction_pairs(q: int, qp: int, bound: float) -> list[tuple[int, int]]
             targets.add(j)
             targets.add(-j)
         j += 1
-    out = set()
-    for s in targets:
-        k = s // g
-        b0 = (k * inv_mp) % m if m > 1 else 0
-        candidates = range(0, q) if m == 1 else range(b0, q, m)
-        for b in candidates:
-            bp, rem = divmod(b * qp - s, q)
-            if rem == 0 and 0 <= bp < qp:
-                out.add((b, bp))
-    return sorted(out)
+    return sorted(_line_points(q, qp, targets, 0))

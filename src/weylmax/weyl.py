@@ -47,8 +47,13 @@ class GoodSet:
     d: int
     c: float
     threshold: float
-    members: np.ndarray  # shape (m, d), lexicographically sorted residues
+    mask: np.ndarray  # shape (q,)*d, C-order bool: True where |S(b)| >= threshold
     density: float
+
+    @property
+    def members(self) -> np.ndarray:
+        """(m, d) residues of the good set, in lex order."""
+        return np.argwhere(self.mask)
 
 
 @lru_cache(maxsize=128)
@@ -177,7 +182,7 @@ def deligne_check(table: WeylTable, k: int) -> DeligneReport:
 
 
 def good_set(table: WeylTable, c: float, k: int) -> GoodSet:
-    """Residues b with |S(b)| >= c * q^(d/2), in lexicographic order.
+    """Residues b with |S(b)| >= c * q^(d/2), as a mask over F_q^d.
 
     Parseval bounds the density below by (1-c^2) q^d / max|S|^2. When
     the per-degree bound holds on the table the density is checked
@@ -190,10 +195,8 @@ def good_set(table: WeylTable, c: float, k: int) -> GoodSet:
     moduli = np.abs(table.values)
     report = _degree_report(float(moduli.max()), q, d, k)
     threshold = c * float(q) ** (d / 2)
-    # argwhere lists a C-order mask's indices in lex order; its result is
-    # a transposed view, copied here into contiguous rows
-    members = np.ascontiguousarray(np.argwhere(moduli >= threshold), dtype=np.int64)
-    density = members.shape[0] / float(q) ** d
+    mask = moduli >= threshold
+    density = np.count_nonzero(mask) / float(q) ** d
     floor = None
     if report.ok:
         floor = (1 - c * c) / (k - 1) ** 2
@@ -205,7 +208,7 @@ def good_set(table: WeylTable, c: float, k: int) -> GoodSet:
             f"good-set density {density:.6f} below guaranteed {floor:.6f} "
             f"for q={q}, d={d}, c={c} despite the {which} max-modulus bound holding"
         )
-    return GoodSet(q=q, d=d, c=c, threshold=threshold, members=members, density=density)
+    return GoodSet(q=q, d=d, c=c, threshold=threshold, mask=mask, density=density)
 
 
 def good_set_for(poly: IntPolynomial, q: int, c: float, k: int) -> GoodSet:

@@ -187,7 +187,7 @@ def test_07_error_domination():
         table = weyl_table(P_SQ, q)
         z = fold(f, q, (0.0,))
         zh0 = z.zhat0()
-        for b in x.balls_by_q[q][:, 0]:
+        for b in x.rows(q)[:, 0]:
             m = zh0 * table.values[b]
             e = folded_eval(z, P_SQ, (b,)) - m
             worst = max(worst, abs(e) / abs(m))

@@ -189,6 +189,15 @@ def test_lattice_count_non_finite_bound_exit_2(capsys, bound):
     assert code == 2 and out == ""
 
 
+def test_lattice_count_huge_bound_clamped(capsys):
+    # every pair has |b*qp - b'*q| < q*qp, so any bound past q*qp counts the same
+    code, out = run(capsys, "lattice-count", "5", "7", "1e12")
+    assert code == 0
+    code_full, out_full = run(capsys, "lattice-count", "5", "7", "35")
+    assert code_full == 0
+    assert json.loads(out)["count"] == json.loads(out_full)["count"] == 34
+
+
 @pytest.mark.parametrize("rho", ["nan", "inf"])
 def test_non_finite_rho_exit_2(capsys, tmp_path, rho):
     path = tmp_path / "xn.csv"
@@ -256,6 +265,18 @@ def test_measure_xn_invalid_balls_exit_2(capsys, tmp_path):
         assert code == 2, ball
 
 
+@pytest.mark.parametrize("header, ball", [
+    (GOOD_HEADER, "1000000007,5"),
+    ('# {"Q": 101, "c": 0.5, "d": 2, "n": 1024, "rho": 0.03125}', "3037000507,5,6"),
+])
+def test_measure_xn_bitmap_guard_exit_3(capsys, tmp_path, header, ball):
+    # the mask of this one prime alone has q^d > 2^28 entries
+    path = tmp_path / "huge.csv"
+    path.write_text(header + "\nq," + ",".join(f"b{i}" for i in range(ball.count(","))) + "\n" + ball + "\n")
+    code, out = run(capsys, "measure-xn", "--in", str(path))
+    assert code == 3 and out == ""
+
+
 def test_fit_read_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "fit", "--in", str(tmp_path / "absent.csv"))[0] == 2
     short = tmp_path / "short.csv"
@@ -298,9 +319,9 @@ def test_build_xn_read_back_matches_built_set(capsys, tmp_path):
     got = _read_xn(str(path))
     want = divset.build_divergence_set(parse_polynomial(poly2), 512)
     assert (got.N, got.d, got.Q, got.rho, got.c) == (want.N, want.d, want.Q, want.rho, want.c)
-    assert list(got.balls_by_q) == list(want.balls_by_q)
-    for q in want.balls_by_q:
-        assert np.array_equal(got.balls_by_q[q], want.balls_by_q[q])
+    assert list(got.good_by_q) == list(want.good_by_q)
+    for q in want.good_by_q:
+        assert np.array_equal(got.rows(q), want.rows(q))
 
 
 @pytest.mark.parametrize("body, j", [("b0,q\n5,37\n", 1), ("q,b0\n37, 5\n 41 ,11\n", 2),

@@ -142,7 +142,7 @@ def test_error_ratio_shrinks_along_coupling():
         for q in x.primes:
             table = weyl_table(P_SQ, q)
             z = fold(f, q, (0.0,))
-            for b in x.balls_by_q[q][:, 0]:
+            for b in x.rows(q)[:, 0]:
                 m = z.zhat0() * table.values[b]
                 e = folded_eval(z, P_SQ, (b,)) - m
                 worst = max(worst, abs(e) / abs(m))

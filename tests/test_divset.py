@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylmax import divset as dv
 from weylmax.divset import (
@@ -49,7 +50,7 @@ def test_build_n4096_band_and_count():
     assert x.primes == [67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127]
     assert x.ball_count == sum(x.primes) == 1219
     for q in x.primes:
-        assert x.balls_by_q[q].shape[0] == q
+        assert x.rows(q).shape[0] == q
 
 
 def test_build_ball_count_floor():
@@ -185,7 +186,7 @@ def test_revalidate_catches_bad_ball():
     good = build_divergence_set(P_CUBE, 1024)
     outside = None
     for q in good.primes:
-        members = {b for (b,) in map(tuple, good.balls_by_q[q])}
+        members = {b for (b,) in map(tuple, good.rows(q))}
         rest = sorted(set(range(q)) - members)
         if rest:
             outside = (q, rest[0])
@@ -239,19 +240,6 @@ def test_overlap_matches_bruteforce_d2_built_window():
     assert overlap_pair_count(y) == _brute_overlap_pairs(y) > y.ball_count + math.comb(len(y.primes), 2)
 
 
-def test_key_index_sorted_and_membership():
-    x = build_divergence_set(family_diagonal(2, 3), 512)
-    base, index = dv._key_index(x)
-    assert index.size == x.ball_count
-    assert (np.diff(index) > 0).all()
-    for q in x.primes:
-        keys = base[q] + dv._encode(x.balls_by_q[q], q)
-        assert dv._is_member(keys, index).all()
-        outside = sorted(set(range(q**2)) - set((keys - base[q]).tolist()))[:5]
-        assert not dv._is_member(np.array(outside, dtype=np.int64) + base[q], index).any()
-    assert not dv._is_member(np.array([5]), np.zeros(0, dtype=np.int64)).any()
-
-
 def test_from_balls_array_matches_list():
     rng = np.random.default_rng(0)
     balls = _random_balls(rng, (103, 101, 107), 40, 2)
@@ -263,10 +251,30 @@ def test_from_balls_array_matches_list():
     for x in (from_list, from_array):
         assert x.primes == [101, 103, 107]
         for q in x.primes:
-            assert x.balls_by_q[q].flags.c_contiguous
-            assert list(map(tuple, x.balls_by_q[q].tolist())) == want[q]
+            assert list(map(tuple, x.rows(q).tolist())) == want[q]
     empty = from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=np.zeros((0, 3), dtype=np.int64))
     assert empty.ball_count == 0 and overlap_pair_count(empty) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]))
+def test_from_balls_ignores_order_and_duplicates(data, d):
+    primes = data.draw(st.lists(st.sampled_from([5, 7, 11, 13]), min_size=1, max_size=3, unique=True))
+    balls = sorted(set(data.draw(st.lists(
+        st.sampled_from(primes).flatmap(
+            lambda q: st.tuples(st.just(q), st.tuples(*[st.integers(0, q - 1)] * d))),
+        min_size=1, max_size=40))))
+    extra = data.draw(st.lists(st.sampled_from(balls), max_size=20))
+    messy = data.draw(st.permutations(balls + extra))
+    base = dict(N=64, d=d, rho=4.0, c=0.5, Q=5)  # tau = 1/8: offsets at q = 11, 13 and cross-prime pairs
+    want = from_balls(**base, balls=balls)
+    got = from_balls(**base, balls=messy)
+    assert list(got.good_by_q) == list(want.good_by_q)
+    for q in want.primes:
+        assert got.good_by_q[q].shape == (q,) * d
+        assert np.array_equal(got.good_by_q[q], want.good_by_q[q])
+    assert got.ball_list() == want.ball_list() == balls
+    assert overlap_pair_count(got) == overlap_pair_count(want) == _brute_overlap_pairs(want)
 
 
 @pytest.mark.parametrize("params", [
@@ -309,7 +317,7 @@ def test_overlap_matches_bruteforce_d2_built_window_large_radius():
 def _full_sweep_measure(x, samples, seed):
     """Oracle: the per-prime Monte Carlo test applied to every point."""
     radius = x.rho / x.N
-    codes = {q: np.sort(dv._encode(x.balls_by_q[q], q)) for q in x.primes}
+    codes = {q: np.sort(np.ravel_multi_index(tuple(x.rows(q).T), (q,) * x.d)) for q in x.primes}
     children = np.random.SeedSequence(seed).spawn((samples + dv._MC_BLOCK - 1) // dv._MC_BLOCK)
     hits = done = 0
     for child in children:
@@ -317,7 +325,7 @@ def _full_sweep_measure(x, samples, seed):
         pts = np.random.default_rng(child).random((size, x.d))
         hit = np.zeros(size, dtype=bool)
         for q in x.primes:
-            if x.balls_by_q[q].shape[0] == 0:
+            if x.rows(q).shape[0] == 0:
                 continue
             jmax = int(math.floor(radius * q + 0.5 + 1e-12))
             nearest = np.rint(pts * q).astype(np.int64)
@@ -326,7 +334,7 @@ def _full_sweep_measure(x, samples, seed):
                 dist = np.abs(pts - bb / q)
                 dist = np.minimum(dist, 1.0 - dist)
                 rows = np.flatnonzero((dist <= radius).all(axis=1))
-                hit[rows[np.isin(dv._encode(bb[rows], q), codes[q])]] = True
+                hit[rows[np.isin(np.ravel_multi_index(tuple(bb[rows].T), (q,) * x.d), codes[q])]] = True
         hits += int(hit.sum())
         done += size
     p = hits / samples

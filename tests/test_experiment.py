@@ -92,7 +92,7 @@ def test_scan_empty_set_rejected():
     import weylmax.divset as dv
 
     x = dv.from_balls(N=1024, d=1, rho=1 / 32, c=0.5, Q=32, balls=[(37, (5,))])
-    x.balls_by_q = {}
+    x.good_by_q = {}
     f = datum_coefficients(1024, 1)
     with pytest.raises(InputError):
         solution_scan(P_SQ, f, x, sample_budget=10, seed=0)
@@ -107,7 +107,7 @@ def test_scan_lower_bound_strength():
     floor = None
     for q in x.primes:
         table = weyl_table(P_SQ, q)
-        for b in x.balls_by_q[q][:, 0]:
+        for b in x.rows(q)[:, 0]:
             split = main_error_split(P_SQ, f, RationalPoint((b,), q, (0.0,)), table)
             value = abs(split.main) - abs(split.error)
             floor = value if floor is None else min(floor, value)
@@ -240,7 +240,7 @@ def test_scan_shifted_values_match_exact_refold(p, n):
     budget = x.rho / (d * n)
     worst = 0.0
     for q in x.primes[::4]:
-        rows = x.balls_by_q[q][:: max(1, len(x.balls_by_q[q]) // 8)]
+        rows = x.rows(q)[:: max(1, len(x.rows(q)) // 8)]
         deltas = rng.uniform(-budget, budget, size=rows.shape)
         pg = roots_of_unity(q)[phase_residues(p, q)]
         got = experiment._shifted_values(experiment._moments(f, q), pg, rows, deltas, n)
