@@ -475,7 +475,7 @@ def _args_ratio_experiment(sp) -> None:
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--budget", type=int, default=10_000)
     sp.add_argument("--samples", type=int, default=200_000)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help="accepted for compatibility, ignored")
     _add_out(sp)
     sp.set_defaults(func=cmd_ratio_experiment)
 

@@ -23,6 +23,7 @@ from .weyl import phase_index, roots_of_unity
 
 RHO_DEFAULT = 1.0 / 32.0  # shared ball-radius / perturbation-budget constant
 BOX_GUARD = 1 << 28  # max entries of the support box
+PAIR_BLOCK = 1 << 16  # max entries of one row block of the Sobolev pair sum
 
 BUMP_INTEGRAL = 1.125  # exact for this profile: 1/8 + 1/2 + 1/2
 
@@ -145,24 +146,49 @@ def datum_coefficients(N: int, d: int) -> Datum:
     return Datum(N=N, d=d, axis_n=axis[keep], axis_psi=psi[keep])
 
 
+def _pair_sum(offset: float, a: np.ndarray, w: np.ndarray, s: float) -> float:
+    """sum over all i, j of w_i w_j (offset + a_i + a_j)^s, from i <= j.
+
+    Row blocks [lo, hi) of at most PAIR_BLOCK entries take the columns
+    j >= lo: the block's own square is summed in full and every later
+    column, an off-diagonal pair met once, is weighted twice.
+    """
+    n = len(a)
+    total = 0.0
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, PAIR_BLOCK // (n - lo)))
+        block = np.add.outer(offset + a[lo:hi], a[lo:])
+        np.power(block, s, out=block)
+        cols = w[lo:].copy()
+        cols[hi - lo :] *= 2.0
+        total += float(np.dot(w[lo:hi], np.dot(block, cols)))
+        lo = hi
+    return total
+
+
 def sobolev_norm_sq(f: Datum, s: float) -> float:
     """sum_n (1 + |n|^2)^s phi(n/N)^2 over the support box.
 
-    One recursion over the axes: part(offset, depth) sums
-    w[i] * part(offset + n_i^2, depth - 1), and the last axis is one
-    vectorized sum, so the cost is len(axis)^d with len(axis)^(d-1) calls.
+    Every axis carries the same n_i^2 and weights psi(n_i/N)^2, so d=1
+    is one vector sum and d=2 is one blocked pair sum over i <= j
+    (_pair_sum); d >= 3 recurses over the leading axes, part(offset,
+    depth) summing w[i] * part(offset + n_i^2, depth - 1) down to the
+    pair sum, with len(axis)^(d-2) pair sums in all.
     """
     if s == 0.0:
         return f.l2_sq()
     w = f.axis_psi**2
     nsq = f.axis_n.astype(float) ** 2
+    if f.d == 1:
+        return float(np.sum((1.0 + nsq) ** s * w))
 
-    def part(offset, depth: int):
-        if depth == 1:
-            return np.sum((offset + nsq) ** s * w)
+    def part(offset, depth: int) -> float:
+        if depth == 2:
+            return _pair_sum(offset, nsq, w, s)
         total = 0.0
         for i in range(len(nsq)):
-            total += w[i] * float(part(offset + nsq[i], depth - 1))
+            total += w[i] * part(offset + nsq[i], depth - 1)
         return total
 
     return float(part(1.0, f.d))

@@ -26,7 +26,7 @@ from .datum import Datum, datum_coefficients, sobolev_norm_sq
 from .decomp import fold_axis  # noqa: F401 -- re-exported; perfbench/tracer.py wraps this binding
 from .divset import DivergenceSet, build_divergence_set, measure
 from .errors import InputError, InvariantError, ResourceError
-from .poly import IntPolynomial, axis_parts
+from .poly import IntPolynomial, axis_parts, distinct_parts
 from .weyl import phase_residues, roots_of_unity
 
 CSV_COLUMNS = ["N", "Q", "J", "measure", "measure_err", "sup_lb", "hs_norm", "ratio", "wall_ms"]
@@ -94,7 +94,8 @@ def _sample(x: DivergenceSet, sample_budget: int, rng) -> list[tuple[int, slice,
 
     The flat index runs over the balls in canonical order (primes
     ascending, residues lex), so the draw picks the same balls as
-    indexing the full ball list would, without materializing it.
+    indexing the full ball list would, without materializing it; the
+    residues are unravelled only at the drawn positions of each mask.
     """
     primes = x.primes
     counts = np.array([np.count_nonzero(x.good_by_q[q]) for q in primes], dtype=np.int64)
@@ -109,11 +110,13 @@ def _sample(x: DivergenceSet, sample_budget: int, rng) -> list[tuple[int, slice,
         flat = np.arange(total)
     starts = np.cumsum(counts) - counts
     cuts = np.searchsorted(flat, np.append(starts, total))
-    return [
-        (q, slice(lo, hi), x.rows(q)[flat[lo:hi] - start])
-        for q, start, lo, hi in zip(primes, starts, cuts[:-1].tolist(), cuts[1:].tolist())
-        if hi > lo
-    ]
+    out = []
+    for q, start, lo, hi in zip(primes, starts, cuts[:-1].tolist(), cuts[1:].tolist()):
+        if hi > lo:
+            mask = x.good_by_q[q]
+            picked = np.flatnonzero(mask)[flat[lo:hi] - start]
+            out.append((q, slice(lo, hi), np.stack(np.unravel_index(picked, mask.shape), axis=1)))
+    return out
 
 
 def _taylor_coeffs(delta: np.ndarray, N: int) -> np.ndarray:
@@ -138,18 +141,34 @@ def _moments(f: Datum, q: int) -> np.ndarray:
     return out
 
 
+def _axis_tables(mom: np.ndarray, part: IntPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """For a one-variable part P_i, its delta = 0 values q ifft(M_0 e(P_i(r)/q))
+    and the (K, q) transforms U_j = q ifft(M_j e(P_i(r)/q)), for every
+    residue at once."""
+    q = mom.shape[1]
+    pg = roots_of_unity(q)[phase_residues(part, q)]
+    return np.fft.ifft(mom[0] * pg) * float(q), np.fft.ifft(mom * pg, axis=1) * float(q)
+
+
+def _axis_values(
+    tables: tuple[np.ndarray, np.ndarray], r: np.ndarray, delta: np.ndarray, N: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """|value| of one axis at delta = 0 and at the given deltas, for the
+    balls with residues r on that axis: the perturbed value is
+    sum_j c_j(delta) U_j(r)."""
+    center, u = tables
+    return np.abs(center[r]), np.abs(np.sum(_taylor_coeffs(delta, N) * u[:, r].T, axis=1))
+
+
 def _shifted_values(
     mom: np.ndarray, pg: np.ndarray, rows: np.ndarray, deltas: np.ndarray, N: int
 ) -> np.ndarray:
     """|sum_r prod_i Z_i(r_i) e((b.r + P(r))/q)| for each ball of one prime,
     with the perturbed axis folds Z_i = sum_j c_j(delta_i) M[j] and exact
-    integer-reduced phases for b.r."""
+    integer-reduced phases for b.r, contracted against the full phase
+    grid pg."""
     q = mom.shape[1]
     d = rows.shape[1]
-    if d == 1:
-        # U_j(b) = sum_r M_j(r) e((b r + P(r))/q) for every b at once
-        u = np.fft.ifft(mom * pg, axis=1) * float(q)
-        return np.abs(np.sum(_taylor_coeffs(deltas[:, 0], N) * u[:, rows[:, 0]].T, axis=1))
     roots = roots_of_unity(q)
     r = np.arange(q, dtype=np.int64)
     out = np.empty(len(rows))
@@ -167,11 +186,11 @@ def _shifted_values(
     return out
 
 
-def _ball_values(
+def _grid_values(
     mom: np.ndarray, poly: IntPolynomial, rows: np.ndarray, deltas: np.ndarray, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """|value| at delta = 0 and at the given deltas for each ball of one
-    prime, under a symbol whose dimension is rows.shape[1]."""
+    prime, from the q^d phase grid of a symbol with a mixed monomial."""
     q = mom.shape[1]
     d = rows.shape[1]
     pg = roots_of_unity(q)[phase_residues(poly, q)]
@@ -203,8 +222,10 @@ def solution_scan(
     axis fold is sum_j (2 pi i delta_i N)^j / j! M[j], whose truncation
     error is certified below. When no monomial of the symbol mixes
     variables (poly.axis_parts), both values of a ball are products of d
-    such one-dimensional values, one per axis, and no q^d grid is built;
-    the same certificate bounds the product's tail. threads is accepted
+    such one-dimensional values, one per axis, and no q^d grid is built:
+    per prime, each distinct part gets one center FFT and one K x q
+    moment FFT, and each axis gathers its rows from its part's tables.
+    The same certificate bounds the product's tail. threads is accepted
     for compatibility and ignored: the batched scan has no per-ball work
     left to spread.
     """
@@ -215,16 +236,20 @@ def solution_scan(
     deltas = rng.uniform(-budget, budget, size=(n_chosen, f.d))
 
     parts = axis_parts(poly)
-    if parts is None:
-        pieces = [(poly, slice(None))]
-    else:
-        pieces = [(part, slice(i, i + 1)) for i, part in enumerate(parts)]
+    if parts is not None:
+        distinct, which = distinct_parts(parts)
     center_vals = np.ones(n_chosen)
     shifted_vals = np.ones(n_chosen)
     for q, pos, rows in groups:
         mom = _moments(f, q)
-        for part, axes in pieces:
-            center, shifted = _ball_values(mom, part, rows[:, axes], deltas[pos, axes], f.N)
+        if parts is None:
+            factors = [_grid_values(mom, poly, rows, deltas[pos], f.N)]
+        else:
+            tables = [_axis_tables(mom, part) for part in distinct]
+            factors = [
+                _axis_values(tables[t], rows[:, i], deltas[pos, i], f.N) for i, t in enumerate(which)
+            ]
+        for center, shifted in factors:
             center_vals[pos] *= center
             shifted_vals[pos] *= shifted
 
@@ -276,6 +301,8 @@ def ratio_experiment(
         raise InputError(f"every ladder scale must be >= 256, got {ladder}")
     if not math.isfinite(s):
         raise InputError(f"Sobolev index must be finite, got {s}")
+    if config.threads < 1:
+        raise InputError(f"thread count must be positive, got {config.threads}")
     d = poly.dim
     k = poly.degree()
     if k < 2:

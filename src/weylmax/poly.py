@@ -79,6 +79,19 @@ def axis_parts(poly: IntPolynomial) -> tuple[IntPolynomial, ...] | None:
     return tuple(IntPolynomial(1, t) for t in parts)
 
 
+def distinct_parts(parts) -> tuple[tuple[IntPolynomial, ...], tuple[int, ...]]:
+    """The distinct entries of parts in first-seen order, and for each
+    entry of parts its index into them; equal axis parts share one
+    one-dimensional computation."""
+    distinct: list[IntPolynomial] = []
+    index = []
+    for part in parts:
+        if part not in distinct:
+            distinct.append(part)
+        index.append(distinct.index(part))
+    return tuple(distinct), tuple(index)
+
+
 def family_diagonal(d: int, k: int) -> IntPolynomial:
     """Sum of k-th powers of the coordinates, degree k >= 2."""
     if d < 1:

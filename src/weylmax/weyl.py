@@ -15,7 +15,7 @@ import numpy as np
 from .accum import csum_complex
 from .errors import InputError, InvariantError, ResourceError
 from .numtheory import eval_poly_mod_grid, is_prime
-from .poly import IntPolynomial, axis_parts
+from .poly import IntPolynomial, axis_parts, distinct_parts
 
 TABLE_GUARD = 1 << 28  # max q^d entries for a materialized table
 PARSEVAL_TOL = 1e-9
@@ -130,8 +130,9 @@ def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
     r -> e(P(r)/q), scaled by q^d so entries match weyl_sum_direct. When
     no monomial mixes variables, e(P(r)/q) factors over the axes and the
     table is the outer product of the d one-dimensional tables of the
-    parts P_i (see poly.axis_parts). The "direct" path is the exact-phase
-    contraction of the full grid, used as an oracle.
+    parts P_i (see poly.axis_parts), each distinct part's table built
+    once. The "direct" path is the exact-phase contraction of the full
+    grid, used as an oracle.
     """
     if not is_prime(q):
         raise InputError(f"modulus {q} is not prime")
@@ -139,8 +140,9 @@ def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
     if q**d > TABLE_GUARD:
         raise ResourceError(f"table of q^d = {q**d} entries exceeds guard {TABLE_GUARD}")
     if method == "dft":
-        parts = axis_parts(poly) or (poly,)
-        values = reduce(np.multiply.outer, [_table_dft(p, q) for p in parts])
+        distinct, which = distinct_parts(axis_parts(poly) or (poly,))
+        tables = [_table_dft(p, q) for p in distinct]
+        values = reduce(np.multiply.outer, [tables[i] for i in which])
     elif method == "direct":
         values = _table_direct(roots_of_unity(q)[phase_residues(poly, q)], q)
     else:

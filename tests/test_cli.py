@@ -214,6 +214,13 @@ def test_ratio_experiment_bad_ladder_exit_2(capsys, ladder):
     assert code == 2 and out == "" and "--n-ladder" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_ratio_experiment_threads_below_one_exit_2(capsys, threads):
+    code, out, err = run_err(capsys, "ratio-experiment", "--poly", P_SQ, "--s", "0",
+                             "--n-ladder", "1024,2048,4096", "--threads", threads)
+    assert code == 2 and out == "" and "thread" in err
+
+
 @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
 def test_ratio_experiment_non_finite_s_exit_2(capsys, s):
     code, out = run(capsys, "ratio-experiment", "--poly", P_SQ, "--s", s, "--n-ladder", "1024,2048,4096")

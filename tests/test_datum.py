@@ -113,14 +113,21 @@ def test_sobolev_scaling_d2():
         assert abs(math.log2(b / a) - 2.0) < 0.05
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_sobolev_matches_full_box_sum(d):
-    f = datum_coefficients(12, d)
+@pytest.mark.parametrize("d,n", [
+    pytest.param(1, 12, id="1"),
+    pytest.param(2, 12, id="2"),
+    pytest.param(3, 12, id="3"),
+    pytest.param(4, 12, id="4"),
+    # 447 entries per axis: several row blocks of the pair sum, the last one partial
+    pytest.param(2, 256, id="2-256"),
+])
+def test_sobolev_matches_full_box_sum(d, n):
+    f = datum_coefficients(n, d)
     grids = np.meshgrid(*[f.axis_n.astype(float)] * d, indexing="ij")
     weights = np.ones_like(grids[0])
     for psi in np.meshgrid(*[f.axis_psi] * d, indexing="ij"):
         weights *= psi**2
-    for s in (1 / 3, 0.25, 1.0):
+    for s in (1 / 3, 0.25, 1.0, -0.25, 2.5):
         want = math.fsum(((1.0 + sum(g**2 for g in grids)) ** s * weights).ravel())
         assert sobolev_norm_sq(f, s) == pytest.approx(want, rel=1e-12)
 

@@ -18,7 +18,7 @@ from weylmax.divset import (
 )
 from weylmax.errors import InputError
 from weylmax.numtheory import lattice_pair_count
-from weylmax.poly import family_diagonal
+from weylmax.poly import family_diagonal, family_power_laplacian
 
 P_SQ = family_diagonal(1, 2)
 P_CUBE = family_diagonal(1, 3)
@@ -175,6 +175,22 @@ def test_montecarlo_d2_against_disjoint_sum():
     expect = 3 * (8.0 / 1024) ** 2
     assert abs(res.estimate - expect) <= 4 * res.error + 1e-12
     assert res.upper_bound == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(family_diagonal(2, 2), id="squares"),
+    pytest.param(family_diagonal(2, 3), id="cubes"),
+    pytest.param(family_power_laplacian(2, 2), id="laplacian2"),
+])
+def test_montecarlo_d2_within_4_sigma_of_bracket(p):
+    # seeds fixed in advance; the Monte Carlo estimate must not stray from
+    # the deterministic [Cauchy-Schwarz lower, disjoint-sum upper] bracket
+    x = build_divergence_set(p, 512)
+    for seed in range(5):
+        res = measure(x, "montecarlo", samples=60_000, seed=seed)
+        assert res.lower_bound <= res.upper_bound
+        outside = max(res.lower_bound - res.estimate, res.estimate - res.upper_bound, 0.0)
+        assert outside <= 4 * res.error, (seed, res)
 
 
 def test_revalidate_sample_of_centers():

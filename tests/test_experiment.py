@@ -17,10 +17,11 @@ from weylmax.experiment import (
     rows_to_csv,
     solution_scan,
 )
-from weylmax.poly import family_diagonal, family_power_laplacian
+from weylmax.poly import IntPolynomial, family_diagonal, family_power_laplacian
 from weylmax.weyl import weyl_table
 
 P_SQ = family_diagonal(1, 2)
+P_UNEQUAL = IntPolynomial(2, {(3, 0): 1, (1, 0): 2, (0, 2): 1, (0, 0): 3})  # X1^3 + 2 X1 + X2^2 + 3
 
 
 def _synthetic_rows(fn, ns=(1024, 2048, 4096, 8192, 16384)):
@@ -137,11 +138,16 @@ def _diagonal_set(p, n):
     return from_balls(n, p.dim, 1 / 32, 0.5, primes[0], balls, p)
 
 
-@pytest.mark.parametrize("d,k,n", [(2, 2, 512), (2, 3, 512), (3, 2, 64)])
-def test_split_scan_matches_general_path(monkeypatch, d, k, n):
+@pytest.mark.parametrize("p,n", [
+    pytest.param(family_diagonal(2, 2), 512, id="2-2-512"),
+    pytest.param(family_diagonal(2, 3), 512, id="2-3-512"),
+    pytest.param(family_diagonal(3, 2), 64, id="3-2-64"),
+    pytest.param(P_UNEQUAL, 512, id="unequal-parts-512"),
+])
+def test_split_scan_matches_general_path(monkeypatch, p, n):
     from weylmax import experiment
 
-    p = family_diagonal(d, k)
+    d = p.dim
     f = datum_coefficients(n, d)
     x = _diagonal_set(p, n)
     split = solution_scan(p, f, x, sample_budget=400, seed=3)
@@ -163,8 +169,6 @@ def test_ratio_experiment_rejects_non_finite_s():
 
 
 def test_ladder_validation():
-    from weylmax.poly import IntPolynomial
-
     with pytest.raises(InputError):
         ratio_experiment(P_SQ, 0.0, [512, 512])
     with pytest.raises(InputError):
@@ -173,6 +177,9 @@ def test_ladder_validation():
         ratio_experiment(P_SQ, 0.0, [])
     with pytest.raises(InputError):
         ratio_experiment(IntPolynomial(1, {(1,): 1}), 0.0, [256, 512, 1024])
+    for threads in (0, -3):
+        with pytest.raises(InputError):
+            ratio_experiment(P_SQ, 0.0, [256, 512, 1024], ExperimentConfig(threads=threads))
 
 
 def test_rows_deterministic_and_csv_roundtrip():
@@ -242,8 +249,13 @@ def test_scan_shifted_values_match_exact_refold(p, n):
     for q in x.primes[::4]:
         rows = x.rows(q)[:: max(1, len(x.rows(q)) // 8)]
         deltas = rng.uniform(-budget, budget, size=rows.shape)
-        pg = roots_of_unity(q)[phase_residues(p, q)]
-        got = experiment._shifted_values(experiment._moments(f, q), pg, rows, deltas, n)
+        mom = experiment._moments(f, q)
+        if d == 1:
+            tables = experiment._axis_tables(mom, p)
+            got = experiment._axis_values(tables, rows[:, 0], deltas[:, 0], n)[1]
+        else:
+            pg = roots_of_unity(q)[phase_residues(p, q)]
+            got = experiment._shifted_values(mom, pg, rows, deltas, n)
         for row, delta, val in zip(rows, deltas, got):
             exact = abs(folded_eval(fold(f, q, delta), p, row))
             worst = max(worst, abs(val - exact) / exact)
