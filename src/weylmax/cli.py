@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -258,7 +259,7 @@ def cmd_ratio_experiment(args) -> int:
     rows = experiment.ratio_experiment(p, args.s, ladder, cfg)
     header = _config(args, p)
     header["ladder"] = ladder
-    header["experiment_config"] = experiment.config_dict(cfg)
+    header["experiment_config"] = dataclasses.asdict(cfg)
     _emit(experiment.rows_to_csv(rows, header), args.out)
     return EXIT_OK
 

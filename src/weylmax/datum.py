@@ -22,7 +22,7 @@ from .poly import IntPolynomial
 from .weyl import phase_index, roots_of_unity
 
 RHO_DEFAULT = 1.0 / 32.0  # shared ball-radius / perturbation-budget constant
-BOX_GUARD = 1 << 28  # max entries of the support box
+BOX_GUARD = 1 << 28  # max entries of the support box that evaluate_solution walks
 PAIR_BLOCK = 1 << 16  # max entries of one row block of the Sobolev pair sum
 
 BUMP_INTEGRAL = 1.125  # exact for this profile: 1/8 + 1/2 + 1/2
@@ -80,10 +80,6 @@ class Datum:
     axis_n: np.ndarray  # integers n with N/4 < n < 2N
     axis_psi: np.ndarray  # psi(n/N) on axis_n, all in (0, 1]
 
-    @property
-    def support_size(self) -> int:
-        return len(self.axis_n) ** self.d
-
     def coefficient(self, n: Sequence[int]) -> float:
         """phi(n/N); 0 outside the support box."""
         if len(n) != self.d:
@@ -139,8 +135,6 @@ def datum_coefficients(N: int, d: int) -> Datum:
     lo = N // 4 + 1
     hi = 2 * N - 1
     axis = np.arange(lo, hi + 1, dtype=np.int64)
-    if len(axis) ** d > BOX_GUARD:
-        raise ResourceError(f"support box {len(axis)}^{d} exceeds guard {BOX_GUARD}")
     psi = bump(axis / N)
     keep = psi > 0.0
     return Datum(N=N, d=d, axis_n=axis[keep], axis_psi=psi[keep])
@@ -208,6 +202,8 @@ def evaluate_solution(poly: IntPolynomial, f: Datum, pt: RationalPoint) -> compl
     """
     if poly.dim != f.d or pt.d != f.d:
         raise InputError(f"dimension mismatch: polynomial {poly.dim}, datum {f.d}, point {pt.d}")
+    if len(f.axis_n) ** f.d > BOX_GUARD:
+        raise ResourceError(f"support box {len(f.axis_n)}^{f.d} exceeds guard {BOX_GUARD}")
     q = pt.q
     psi = f.axis_psi
     dphases = _delta_phases(f, pt.delta)

@@ -31,12 +31,14 @@ class DivergenceSet:
     rho: float
     c: float
     Q: int
-    good_by_q: dict[int, np.ndarray]  # q -> C-order bool mask of shape (q,)*d
+    bits: np.ndarray  # the masks of all primes end to end, ascending q
+    start: dict[int, int]  # q -> offset of q's mask in bits
+    good_by_q: dict[int, np.ndarray]  # q -> C-order bool view of shape (q,)*d into bits
     polynomial: IntPolynomial | None = None
 
     @property
     def ball_count(self) -> int:
-        return sum(int(np.count_nonzero(mask)) for mask in self.good_by_q.values())
+        return int(np.count_nonzero(self.bits))
 
     @property
     def primes(self) -> list[int]:
@@ -87,17 +89,23 @@ def build_divergence_set(
         log.info("dropping band primes dividing the degree %d: %s", k, dropped)
     if not admissible:
         raise InputError(f"no admissible prime in [{Q}, {2*Q}) for degree {k}")
-    _check_bitmap_size(admissible, d)
-    good = {q: good_set_for(poly, q, c, k).mask for q in admissible}
-    return DivergenceSet(N=N, d=d, rho=rho, c=c, Q=Q, good_by_q=good, polynomial=poly)
+    x = _empty_set(N, d, rho, c, Q, admissible, poly)
+    for q, mask in x.good_by_q.items():
+        mask[...] = good_set_for(poly, q, c, k).mask
+    return x
 
 
-def _check_bitmap_size(primes, d: int) -> None:
-    """ResourceError when the masks of ``primes`` would exceed TABLE_GUARD
-    residues in total (one byte each)."""
-    size = sum(int(q) ** d for q in primes)
-    if size > TABLE_GUARD:
-        raise ResourceError(f"residue masks of sum q^d = {size} entries exceed guard {TABLE_GUARD}")
+def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes, polynomial) -> DivergenceSet:
+    """A DivergenceSet over the ascending ``primes`` with every mask clear,
+    the C-order masks end to end in one zeroed bitmap; ResourceError when
+    they would exceed TABLE_GUARD residues in total (one byte each)."""
+    sizes = [q**d for q in primes]
+    if sum(sizes) > TABLE_GUARD:
+        raise ResourceError(f"residue masks of sum q^d = {sum(sizes)} entries exceed guard {TABLE_GUARD}")
+    bits = np.zeros(sum(sizes), dtype=bool)
+    start = dict(zip(primes, itertools.accumulate(sizes, initial=0)))
+    good = {q: bits[lo : lo + q**d].reshape((q,) * d) for q, lo in start.items()}
+    return DivergenceSet(N, d, rho, c, Q, bits, start, good, polynomial)
 
 
 def _same_q_offsets(q: int, tau: float) -> list[int]:
@@ -123,9 +131,8 @@ def overlap_pair_count(x: DivergenceSet) -> int:
     |b*q' - b'*q| <= 2*rho*q*q'/N, with one candidate pair per coordinate
     per admissible line, multiplied across coordinates. The candidates of
     every prime pair are stacked into one array, and the d-fold products
-    of all pairs are looked up in batches in one flat bitmap, the masks
-    of all primes laid end to end, so the cost is O(sum q^d + #products)
-    array work plus the line solver.
+    of all pairs are looked up in batches in the set's own bitmap, so the
+    cost is O(sum q^d + #products) array work plus the line solver.
     """
     tau = 2.0 * x.rho / x.N
     total = 0
@@ -143,23 +150,18 @@ def overlap_pair_count(x: DivergenceSet) -> int:
             for combo in itertools.product(offsets, repeat=x.d)
         )
         total += (ordered + m) // 2
-    pairs: list[tuple[int, int, int]] = []  # (q, q', candidate count)
+    pairs: list[tuple[int, ...]] = []  # (q, q', candidate count, starts of their masks)
     flat: list[tuple[int, int]] = []
     for i, q in enumerate(qs):
         for qp in qs[i + 1 :]:
             candidates = close_fraction_pairs(q, qp, tau * q * qp)
             if candidates:
-                pairs.append((q, qp, len(candidates)))
+                pairs.append((q, qp, len(candidates), x.start[q], x.start[qp]))
                 flat.extend(candidates)
     if not pairs:
         return total
-    bits = np.concatenate([x.good_by_q[q].ravel() for q in qs])
-    sizes = [q**x.d for q in qs]
-    base = dict(zip(qs, np.cumsum(sizes) - sizes))  # q's mask starts here in bits
     cand = np.array(flat, dtype=np.int64)  # rows (b, b'), pair after pair
-    q_arr, qp_arr, n = np.array(pairs, dtype=np.int64).T
-    base_q = np.array([base[q] for q, _, _ in pairs], dtype=np.int64)
-    base_qp = np.array([base[qp] for _, qp, _ in pairs], dtype=np.int64)
+    q_arr, qp_arr, n, base_q, base_qp = np.array(pairs, dtype=np.int64).T
     first = np.cumsum(n) - n  # each pair's first row in cand
     ends = np.cumsum(n**x.d)  # a pair's d-fold products end here
     # Product t of a pair takes the row (t // n^(d-1-i)) % n for
@@ -176,7 +178,7 @@ def overlap_pair_count(x: DivergenceSet) -> int:
             row = cand[first[p] + t // m ** (x.d - 1 - i) % m]
             code = code * q_arr[p] + row[:, 0]
             code_p = code_p * qp_arr[p] + row[:, 1]
-        total += int(np.count_nonzero(bits[base_q[p] + code] & bits[base_qp[p] + code_p]))
+        total += int(np.count_nonzero(x.bits[base_q[p] + code] & x.bits[base_qp[p] + code_p]))
     return total
 
 
@@ -380,19 +382,15 @@ def from_balls(
     for q in primes:
         if not is_prime(q):
             raise InputError(f"ball modulus q={q} is not prime")
-    _check_bitmap_size(primes, d)
+    x = _empty_set(N, d, rho, c, Q, primes, polynomial)
     res = rows[:, 1:]
     bad = ((res < 0) | (res >= rows[:, :1])).any(axis=1)
     if bad.any():  # checked before indexing: a negative residue would wrap
         q = int(rows[bad, 0].min())
         arr = res[rows[:, 0] == q]
         raise InputError(f"residues for q={q} must lie in [0, {q}), got range [{arr.min()}, {arr.max()}]")
-    sizes = np.array([q**d for q in primes], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
     code = np.zeros(len(rows), dtype=np.int64)
     for i in range(d):
         code = code * rows[:, 0] + res[:, i]
-    bits = np.zeros(int(sizes.sum()), dtype=bool)  # the masks of all primes, end to end
-    bits[starts[which] + code] = True
-    by_q = {q: bits[lo : lo + size].reshape((q,) * d) for q, lo, size in zip(primes, starts, sizes)}
-    return DivergenceSet(N=N, d=d, rho=rho, c=c, Q=Q, good_by_q=by_q, polynomial=polynomial)
+    x.bits[np.array(list(x.start.values()), dtype=np.int64)[which] + code] = True
+    return x

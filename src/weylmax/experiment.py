@@ -18,7 +18,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,23 +141,22 @@ def _moments(f: Datum, q: int) -> np.ndarray:
     return out
 
 
-def _axis_tables(mom: np.ndarray, part: IntPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """For a one-variable part P_i, its delta = 0 values q ifft(M_0 e(P_i(r)/q))
-    and the (K, q) transforms U_j = q ifft(M_j e(P_i(r)/q)), for every
-    residue at once."""
+def _axis_tables(mom: np.ndarray, part: IntPolynomial) -> np.ndarray:
+    """For a one-variable part P_i, the (K, q) transforms
+    U_j = q ifft(M_j e(P_i(r)/q)) for every residue at once; row U_0
+    holds the delta = 0 values."""
     q = mom.shape[1]
     pg = roots_of_unity(q)[phase_residues(part, q)]
-    return np.fft.ifft(mom[0] * pg) * float(q), np.fft.ifft(mom * pg, axis=1) * float(q)
+    return np.fft.ifft(mom * pg, axis=1) * float(q)
 
 
 def _axis_values(
-    tables: tuple[np.ndarray, np.ndarray], r: np.ndarray, delta: np.ndarray, N: int
+    u: np.ndarray, r: np.ndarray, delta: np.ndarray, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """|value| of one axis at delta = 0 and at the given deltas, for the
     balls with residues r on that axis: the perturbed value is
     sum_j c_j(delta) U_j(r)."""
-    center, u = tables
-    return np.abs(center[r]), np.abs(np.sum(_taylor_coeffs(delta, N) * u[:, r].T, axis=1))
+    return np.abs(u[0, r]), np.abs(np.sum(_taylor_coeffs(delta, N) * u[:, r].T, axis=1))
 
 
 def _shifted_values(
@@ -207,7 +206,6 @@ def solution_scan(
     x: DivergenceSet,
     sample_budget: int = 10_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> ScanResult:
     """|solution| at sampled ball centers, each at its own t = 1/q.
 
@@ -223,11 +221,9 @@ def solution_scan(
     error is certified below. When no monomial of the symbol mixes
     variables (poly.axis_parts), both values of a ball are products of d
     such one-dimensional values, one per axis, and no q^d grid is built:
-    per prime, each distinct part gets one center FFT and one K x q
-    moment FFT, and each axis gathers its rows from its part's tables.
-    The same certificate bounds the product's tail. threads is accepted
-    for compatibility and ignored: the batched scan has no per-ball work
-    left to spread.
+    per prime, each distinct part gets one K x q moment FFT, whose row 0
+    holds the center values, and each axis gathers its rows from its
+    part's tables. The same certificate bounds the product's tail.
     """
     rng = np.random.default_rng(seed)
     groups = _sample(x, sample_budget, rng)
@@ -313,7 +309,7 @@ def ratio_experiment(
         try:
             f = datum_coefficients(n, d)
             x = build_divergence_set(poly, n, config.c, config.rho)
-            scan = solution_scan(poly, f, x, config.sample_budget, config.seed, config.threads)
+            scan = solution_scan(poly, f, x, config.sample_budget, config.seed)
             if d == 1:
                 m = measure(x, "exact")
                 usable = m.estimate
@@ -396,7 +392,3 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed experiment CSV row {rec!r}: {exc}") from exc
     return out
-
-
-def config_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)

@@ -164,10 +164,10 @@ def _line_points(q: int, qp: int, targets, first: int):
                 yield b, bp
 
 
-def lattice_pair_count(q: int, qp: int, bound: float, method: str = "fast") -> int:
+def lattice_pair_count(q: int, qp: int, bound: float) -> int:
     """Number of pairs 1 <= b <= q, 1 <= b' <= qp with 0 < |b*qp - b'*q| <= bound.
 
-    The fast path walks the lines b*qp - b'*q = k*g (g = gcd(q, qp),
+    Walks the lines b*qp - b'*q = k*g (g = gcd(q, qp),
     0 < |k| <= bound/g); each line carries at most g admissible points,
     so the total is at most 2*bound. Every pair has |b*qp - b'*q| <
     q*qp, so the bound is clamped there. Cost O(min(bound, q*qp) + log q)
@@ -177,10 +177,6 @@ def lattice_pair_count(q: int, qp: int, bound: float, method: str = "fast") -> i
         raise InputError(f"moduli must be positive, got ({q}, {qp})")
     if not (math.isfinite(bound) and bound >= 0):
         raise InputError(f"bound must be finite and non-negative, got {bound}")
-    if method == "brute":
-        return lattice_pair_count_bruteforce(q, qp, bound)
-    if method != "fast":
-        raise InputError(f"unknown method {method!r}")
     g = math.gcd(q, qp)
     kmax = int(math.floor(min(bound, q * qp) / g))
     lines = (k * g for k in range(-kmax, kmax + 1) if k)

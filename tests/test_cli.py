@@ -329,6 +329,9 @@ def test_build_xn_read_back_matches_built_set(capsys, tmp_path):
     assert list(got.good_by_q) == list(want.good_by_q)
     for q in want.good_by_q:
         assert np.array_equal(got.rows(q), want.rows(q))
+    for x in (got, want):  # every mask is a view into the set's one bitmap
+        assert all(np.shares_memory(mask, x.bits) for mask in x.good_by_q.values())
+    assert got.bits.tobytes() == want.bits.tobytes()
 
 
 @pytest.mark.parametrize("body, j", [("b0,q\n5,37\n", 1), ("q,b0\n37, 5\n 41 ,11\n", 2),

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from weylmax.datum import (
+    BOX_GUARD,
     BUMP_INTEGRAL,
     Datum,
     RationalPoint,
@@ -88,8 +89,11 @@ def test_datum_d2_plateau_coefficient():
 def test_datum_validation_and_guard():
     with pytest.raises(InputError):
         datum_coefficients(4, 1)
+    # the datum stores one axis; only the exact evaluator walks the box
+    assert len(datum_coefficients(11585, 2).axis_n) ** 2 > BOX_GUARD
+    f = datum_coefficients(512, 3)
     with pytest.raises(ResourceError):
-        datum_coefficients(512, 3)
+        evaluate_solution(family_diagonal(3, 2), f, RationalPoint((1, 2, 3), 5, (0.0,) * 3))
 
 
 def test_sobolev_zero_order_counts_plateau():

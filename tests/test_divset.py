@@ -16,7 +16,7 @@ from weylmax.divset import (
     overlap_pair_count,
     revalidate_members,
 )
-from weylmax.errors import InputError
+from weylmax.errors import InputError, ResourceError
 from weylmax.numtheory import lattice_pair_count
 from weylmax.poly import family_diagonal, family_power_laplacian
 
@@ -73,6 +73,16 @@ def test_centers_in_lowest_terms():
 def test_build_too_small_rejected():
     with pytest.raises(InputError):
         build_divergence_set(P_SQ, 32)
+
+
+def test_build_bitmap_guard_before_any_table(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a good set was built")
+
+    monkeypatch.setattr(dv, "good_set_for", boom)
+    # d=2 squares at N=32768: the band's masks hold sum q^2 > 2^28 residues
+    with pytest.raises(ResourceError, match="sum q\\^d = 330749849 entries"):
+        build_divergence_set(family_diagonal(2, 2), 32768)
 
 
 def test_overlap_matches_bruteforce_small():

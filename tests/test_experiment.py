@@ -81,14 +81,6 @@ def test_scan_budget_subsamples_deterministically():
     assert a.sup_lb >= solution_scan(P_SQ, f, x, sample_budget=x.ball_count, seed=7).sup_lb
 
 
-def test_scan_threaded_matches_serial():
-    f = datum_coefficients(1024, 1)
-    x = build_divergence_set(P_SQ, 1024)
-    serial = solution_scan(P_SQ, f, x, sample_budget=200, seed=3, threads=1)
-    threaded = solution_scan(P_SQ, f, x, sample_budget=200, seed=3, threads=4)
-    assert serial == threaded
-
-
 def test_scan_empty_set_rejected():
     import weylmax.divset as dv
 
@@ -210,7 +202,7 @@ def test_ratio_positive_small_d1_ladder():
 
 def test_resource_guard_marks_row_failed_and_continues():
     p3 = family_diagonal(3, 2)
-    rows = ratio_experiment(p3, 0.0, [512, 1024], ExperimentConfig(sample_budget=10))
+    rows = ratio_experiment(p3, 0.0, [4100, 8192], ExperimentConfig(sample_budget=10))
     assert len(rows) == 2
     assert all(r.failed for r in rows)
     assert all(r.fail_reason for r in rows)
