@@ -19,9 +19,11 @@ import numpy as np
 from .errors import InputError, ResourceError
 from .numtheory import band_start, close_fraction_pairs, is_prime, primes_in_band
 from .poly import IntPolynomial
-from .weyl import TABLE_GUARD, good_set_for, weyl_sum_direct
+from .weyl import good_set_for, weyl_sum_direct
 
 log = logging.getLogger(__name__)
+
+BITMAP_GUARD = 1 << 29  # max bytes of one set's bitmap, one per residue
 
 
 @dataclass
@@ -98,10 +100,10 @@ def build_divergence_set(
 def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes, polynomial) -> DivergenceSet:
     """A DivergenceSet over the ascending ``primes`` with every mask clear,
     the C-order masks end to end in one zeroed bitmap; ResourceError when
-    they would exceed TABLE_GUARD residues in total (one byte each)."""
+    they would exceed BITMAP_GUARD bytes in total (one per residue)."""
     sizes = [q**d for q in primes]
-    if sum(sizes) > TABLE_GUARD:
-        raise ResourceError(f"residue masks of sum q^d = {sum(sizes)} entries exceed guard {TABLE_GUARD}")
+    if sum(sizes) > BITMAP_GUARD:
+        raise ResourceError(f"residue masks of sum q^d = {sum(sizes)} bytes exceed guard {BITMAP_GUARD}")
     bits = np.zeros(sum(sizes), dtype=bool)
     start = dict(zip(primes, itertools.accumulate(sizes, initial=0)))
     good = {q: bits[lo : lo + q**d].reshape((q,) * d) for q, lo in start.items()}

@@ -26,8 +26,8 @@ from .datum import Datum, datum_coefficients, sobolev_norm_sq
 from .decomp import fold_axis  # noqa: F401 -- re-exported; perfbench/tracer.py wraps this binding
 from .divset import DivergenceSet, build_divergence_set, measure
 from .errors import InputError, InvariantError, ResourceError
-from .poly import IntPolynomial, axis_parts, distinct_parts
-from .weyl import phase_residues, roots_of_unity
+from .poly import IntPolynomial
+from .weyl import axis_tables, phase_residues, roots_of_unity
 
 CSV_COLUMNS = ["N", "Q", "J", "measure", "measure_err", "sup_lb", "hs_norm", "ratio", "wall_ms"]
 
@@ -141,15 +141,6 @@ def _moments(f: Datum, q: int) -> np.ndarray:
     return out
 
 
-def _axis_tables(mom: np.ndarray, part: IntPolynomial) -> np.ndarray:
-    """For a one-variable part P_i, the (K, q) transforms
-    U_j = q ifft(M_j e(P_i(r)/q)) for every residue at once; row U_0
-    holds the delta = 0 values."""
-    q = mom.shape[1]
-    pg = roots_of_unity(q)[phase_residues(part, q)]
-    return np.fft.ifft(mom * pg, axis=1) * float(q)
-
-
 def _axis_values(
     u: np.ndarray, r: np.ndarray, delta: np.ndarray, N: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,21 +176,6 @@ def _shifted_values(
     return out
 
 
-def _grid_values(
-    mom: np.ndarray, poly: IntPolynomial, rows: np.ndarray, deltas: np.ndarray, N: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """|value| at delta = 0 and at the given deltas for each ball of one
-    prime, from the q^d phase grid of a symbol with a mixed monomial."""
-    q = mom.shape[1]
-    d = rows.shape[1]
-    pg = roots_of_unity(q)[phase_residues(poly, q)]
-    w = mom[0]
-    for _ in range(d - 1):
-        w = np.multiply.outer(w, mom[0])
-    u_all = np.fft.ifftn(w * pg) * float(q) ** d
-    return np.abs(u_all[tuple(rows.T)]), _shifted_values(mom, pg, rows, deltas, N)
-
-
 def solution_scan(
     poly: IntPolynomial,
     f: Datum,
@@ -215,15 +191,16 @@ def solution_scan(
     the maximal function at each sampled point.
 
     Per prime, the K Taylor moments M[j] of the folded coefficients are
-    computed once. The delta = 0 values for all residues come from a
-    single FFT of M[0] against the phase grid e(P(r)/q); a perturbed
-    axis fold is sum_j (2 pi i delta_i N)^j / j! M[j], whose truncation
-    error is certified below. When no monomial of the symbol mixes
-    variables (poly.axis_parts), both values of a ball are products of d
-    such one-dimensional values, one per axis, and no q^d grid is built:
-    per prime, each distinct part gets one K x q moment FFT, whose row 0
-    holds the center values, and each axis gathers its rows from its
-    part's tables. The same certificate bounds the product's tail.
+    computed once; a perturbed axis fold is sum_j (2 pi i delta_i N)^j /
+    j! M[j], whose truncation error is certified below. When no monomial
+    of the symbol mixes variables, both values of a ball are products of
+    d one-dimensional values, one per axis, and no q^d grid is built:
+    axis_tables(poly, q, M) gives each distinct part one K x q moment
+    FFT, whose row 0 holds the center values, and each axis gathers its
+    rows from its part's table. The same certificate bounds the
+    product's tail. Otherwise one exact-phase contraction against the
+    phase grid e(P(r)/q) gives every drawn ball's value at delta = 0
+    and at its delta.
     """
     rng = np.random.default_rng(seed)
     groups = _sample(x, sample_budget, rng)
@@ -231,20 +208,17 @@ def solution_scan(
     budget = x.rho / (f.d * f.N)
     deltas = rng.uniform(-budget, budget, size=(n_chosen, f.d))
 
-    parts = axis_parts(poly)
-    if parts is not None:
-        distinct, which = distinct_parts(parts)
     center_vals = np.ones(n_chosen)
     shifted_vals = np.ones(n_chosen)
     for q, pos, rows in groups:
         mom = _moments(f, q)
-        if parts is None:
-            factors = [_grid_values(mom, poly, rows, deltas[pos], f.N)]
+        tables = axis_tables(poly, q, mom)
+        if tables is None:
+            pg = roots_of_unity(q)[phase_residues(poly, q)]
+            at = np.vstack([np.zeros_like(deltas[pos]), deltas[pos]])
+            factors = [np.split(_shifted_values(mom, pg, np.vstack([rows, rows]), at, f.N), 2)]
         else:
-            tables = [_axis_tables(mom, part) for part in distinct]
-            factors = [
-                _axis_values(tables[t], rows[:, i], deltas[pos, i], f.N) for i, t in enumerate(which)
-            ]
+            factors = [_axis_values(u, rows[:, i], deltas[pos, i], f.N) for i, u in enumerate(tables)]
         for center, shifted in factors:
             center_vals[pos] *= center
             shifted_vals[pos] *= shifted

@@ -102,12 +102,30 @@ def weyl_sum_direct(poly: IntPolynomial, q: int, b) -> complex:
     return csum_complex(roots_of_unity(q)[phase_index(poly, b, q)])
 
 
-def _table_dft(poly: IntPolynomial, q: int) -> np.ndarray:
-    """q^d * ifftn of the phase grid e(P(r)/q), transformed in place."""
+def transform(poly: IntPolynomial, q: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """q^d * ifftn, over the last d axes, of weights * e(P(r)/q), the
+    product (or the bare phase grid) transformed in place."""
+    d = poly.dim
     values = roots_of_unity(q)[phase_residues(poly, q)]
-    values = np.fft.ifftn(values, out=values)
-    values *= float(q) ** poly.dim
+    if weights is not None:
+        values = weights * values
+    values = np.fft.ifftn(values, axes=tuple(range(-d, 0)), out=values)
+    values *= float(q) ** d
     return values
+
+
+def axis_tables(
+    poly: IntPolynomial, q: int, weights: np.ndarray | None = None
+) -> list[np.ndarray] | None:
+    """One transform per axis of a symbol with no mixed monomial, that
+    of its one-variable part P_i (poly.axis_parts), equal parts sharing
+    one array; None when a monomial mixes variables."""
+    parts = axis_parts(poly)
+    if parts is None:
+        return None
+    distinct, which = distinct_parts(parts)
+    tables = [transform(p, q, weights) for p in distinct]
+    return [tables[i] for i in which]
 
 
 def _table_direct(grid: np.ndarray, q: int) -> np.ndarray:
@@ -126,13 +144,12 @@ def _table_direct(grid: np.ndarray, q: int) -> np.ndarray:
 def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
     """All S(b), b in F_q^d.
 
-    The default path evaluates the d-dimensional inverse FFT of the grid
-    r -> e(P(r)/q), scaled by q^d so entries match weyl_sum_direct. When
-    no monomial mixes variables, e(P(r)/q) factors over the axes and the
-    table is the outer product of the d one-dimensional tables of the
-    parts P_i (see poly.axis_parts), each distinct part's table built
-    once. The "direct" path is the exact-phase contraction of the full
-    grid, used as an oracle.
+    The default path is transform(poly, q), the d-dimensional inverse
+    FFT of the grid r -> e(P(r)/q) scaled by q^d so entries match
+    weyl_sum_direct. When no monomial mixes variables, e(P(r)/q) factors
+    over the axes and the table is the outer product of axis_tables(poly,
+    q), one length-q transform per distinct part. The "direct" path is
+    the exact-phase contraction of the full grid, used as an oracle.
     """
     if not is_prime(q):
         raise InputError(f"modulus {q} is not prime")
@@ -140,9 +157,8 @@ def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
     if q**d > TABLE_GUARD:
         raise ResourceError(f"table of q^d = {q**d} entries exceeds guard {TABLE_GUARD}")
     if method == "dft":
-        distinct, which = distinct_parts(axis_parts(poly) or (poly,))
-        tables = [_table_dft(p, q) for p in distinct]
-        values = reduce(np.multiply.outer, [tables[i] for i in which])
+        tables = axis_tables(poly, q)
+        values = transform(poly, q) if tables is None else reduce(np.multiply.outer, tables)
     elif method == "direct":
         values = _table_direct(roots_of_unity(q)[phase_residues(poly, q)], q)
     else:

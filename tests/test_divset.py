@@ -80,9 +80,9 @@ def test_build_bitmap_guard_before_any_table(monkeypatch):
         raise AssertionError("a good set was built")
 
     monkeypatch.setattr(dv, "good_set_for", boom)
-    # d=2 squares at N=32768: the band's masks hold sum q^2 > 2^28 residues
-    with pytest.raises(ResourceError, match="sum q\\^d = 330749849 entries"):
-        build_divergence_set(family_diagonal(2, 2), 32768)
+    # d=2 squares at N=46341: the band's masks need sum q^2 > 2^29 bytes
+    with pytest.raises(ResourceError, match="sum q\\^d = 638990207 bytes"):
+        build_divergence_set(family_diagonal(2, 2), 46341)
 
 
 def test_overlap_matches_bruteforce_small():

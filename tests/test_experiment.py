@@ -143,7 +143,7 @@ def test_split_scan_matches_general_path(monkeypatch, p, n):
     f = datum_coefficients(n, d)
     x = _diagonal_set(p, n)
     split = solution_scan(p, f, x, sample_budget=400, seed=3)
-    monkeypatch.setattr(experiment, "axis_parts", lambda poly: None)
+    monkeypatch.setattr(experiment, "axis_tables", lambda *args: None)
     general = solution_scan(p, f, x, sample_budget=400, seed=3)
     rel = lambda a, b: abs(a - b) / abs(b)
     assert rel(split.sup_lb, general.sup_lb) < 1e-12
@@ -230,7 +230,7 @@ def test_scan_shifted_values_match_exact_refold(p, n):
 
     from weylmax import experiment
     from weylmax.decomp import fold, folded_eval
-    from weylmax.weyl import phase_residues, roots_of_unity
+    from weylmax.weyl import axis_tables, phase_residues, roots_of_unity
 
     d = p.dim
     f = datum_coefficients(n, d)
@@ -241,9 +241,10 @@ def test_scan_shifted_values_match_exact_refold(p, n):
     for q in x.primes[::4]:
         rows = x.rows(q)[:: max(1, len(x.rows(q)) // 8)]
         deltas = rng.uniform(-budget, budget, size=rows.shape)
+        deltas[::3] = 0.0  # the center values of the contraction path
         mom = experiment._moments(f, q)
         if d == 1:
-            tables = experiment._axis_tables(mom, p)
+            tables = axis_tables(p, q, mom)[0]
             got = experiment._axis_values(tables, rows[:, 0], deltas[:, 0], n)[1]
         else:
             pg = roots_of_unity(q)[phase_residues(p, q)]
@@ -252,6 +253,24 @@ def test_scan_shifted_values_match_exact_refold(p, n):
             exact = abs(folded_eval(fold(f, q, delta), p, row))
             worst = max(worst, abs(val - exact) / exact)
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("p,n", [
+    pytest.param(family_diagonal(1, 2), 2048, id="1-2048"),
+    pytest.param(family_diagonal(2, 2), 512, id="2-2-512"),
+    pytest.param(family_diagonal(2, 3), 512, id="2-3-512"),
+    pytest.param(family_power_laplacian(2, 2), 512, id="laplacian2-512"),
+])
+def test_scan_witness_reproduces_sup_lb(p, n):
+    from weylmax.datum import evaluate_solution
+
+    f = datum_coefficients(n, p.dim)
+    x = build_divergence_set(p, n)
+    for seed in range(3):
+        scan = solution_scan(p, f, x, sample_budget=200, seed=seed)
+        pt = RationalPoint(scan.witness_b, scan.witness_q, scan.witness_delta)
+        exact = abs(evaluate_solution(p, f, pt))
+        assert abs(exact - scan.sup_lb) / scan.sup_lb < 1e-12
 
 
 def test_scan_flat_sampling_matches_ball_list():
