@@ -17,13 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .accum import csum_complex
-from .errors import InputError, ResourceError
+from .errors import InputError, InvariantError, ResourceError
 from .poly import IntPolynomial
 from .weyl import phase_index, roots_of_unity
 
 RHO_DEFAULT = 1.0 / 32.0  # shared ball-radius / perturbation-budget constant
 BOX_GUARD = 1 << 28  # max entries of the support box that evaluate_solution walks
-PAIR_BLOCK = 1 << 16  # max entries of one row block of the Sobolev pair sum
+SOBOLEV_TOL = 1e-14  # relative error bound of the interpolated d >= 2 Sobolev norm
+_POWER_BLOCK = 1 << 16  # max powers (c + a_j)^s held at once
+_ELLIPSE_FRACTIONS = np.linspace(0.05, 0.95, 19)  # trial rho, as fractions of rho0 - 1
 
 BUMP_INTEGRAL = 1.125  # exact for this profile: 1/8 + 1/2 + 1/2
 
@@ -140,35 +142,114 @@ def datum_coefficients(N: int, d: int) -> Datum:
     return Datum(N=N, d=d, axis_n=axis[keep], axis_psi=psi[keep])
 
 
-def _pair_sum(offset: float, a: np.ndarray, w: np.ndarray, s: float) -> float:
-    """sum over all i, j of w_i w_j (offset + a_i + a_j)^s, from i <= j.
-
-    Row blocks [lo, hi) of at most PAIR_BLOCK entries take the columns
-    j >= lo: the block's own square is summed in full and every later
-    column, an off-diagonal pair met once, is weighted twice.
-    """
-    n = len(a)
-    total = 0.0
-    lo = 0
-    while lo < n:
-        hi = min(n, lo + max(1, PAIR_BLOCK // (n - lo)))
-        block = np.add.outer(offset + a[lo:hi], a[lo:])
+def _power_sums(c: np.ndarray, a: np.ndarray, w: np.ndarray, s: float) -> np.ndarray:
+    """F(c) = sum_j w_j (c + a_j)^s at each entry of c, in row blocks of
+    at most _POWER_BLOCK powers."""
+    out = np.empty(len(c))
+    step = max(1, _POWER_BLOCK // len(a))
+    for lo in range(0, len(c), step):
+        block = np.add.outer(c[lo : lo + step], a)
         np.power(block, s, out=block)
-        cols = w[lo:].copy()
-        cols[hi - lo :] *= 2.0
-        total += float(np.dot(w[lo:hi], np.dot(block, cols)))
-        lo = hi
-    return total
+        out[lo : lo + step] = block @ w
+    return out
+
+
+def _node_count(mid: float, half: float, a: np.ndarray, w: np.ndarray, s: float, f_min: float):
+    """(n, rho, M): the smallest Chebyshev degree n, over a fan of trial
+    Bernstein ellipses, whose interpolation bound 4 M rho^-n / (rho - 1)
+    (Trefethen, ATAP, Thm 8.2) is within SOBOLEV_TOL * f_min.
+
+    In x = (c - mid) / half, F(c) = sum_j w_j (c + a_j)^s is analytic
+    off c <= -a_0, which lies at x = -x0 with x0 > 1, so F is analytic
+    inside every ellipse E_rho with foci -1, 1 and 1 < rho < rho0 =
+    x0 + sqrt(x0^2 - 1). Each term's modulus |c + a_j|^s is largest on
+    E_rho at its right vertex mid + A when s > 0 and at its left vertex
+    mid - A when s < 0, A = half (rho + 1/rho) / 2, so M = F there.
+    """
+    x0 = (mid + a[0]) / half
+    rho = 1.0 + (x0 + math.sqrt(x0 * x0 - 1.0) - 1.0) * _ELLIPSE_FRACTIONS
+    vertex = mid + math.copysign(1.0, s) * half * (rho + 1.0 / rho) / 2.0
+    m = _power_sums(vertex, a, w, s)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n = np.ceil(np.log(4.0 * m / ((rho - 1.0) * SOBOLEV_TOL * f_min)) / np.log(rho))
+    n[np.isnan(n)] = np.inf
+    best = int(np.argmin(n))
+    return max(1.0, float(n[best])), float(rho[best]), float(m[best])
+
+
+def _chebyshev_points(n: int) -> np.ndarray:
+    """x_k = cos(pi k / n), k = 0..n, in the sine form that keeps them
+    symmetric about 0."""
+    return np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))
+
+
+def _barycentric(fk: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The interpolant through values fk at _chebyshev_points(n),
+    n = len(fk) - 1, at each x in [-1, 1]: the second barycentric
+    formula with weights (-1)^k, halved at both ends (Berrut and
+    Trefethen, SIAM Review 46, 2004); a point equal to a node takes
+    that node's value."""
+    n = len(fk) - 1
+    nodes = _chebyshev_points(n)
+    lam = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    lam[[0, -1]] *= 0.5
+    num = np.zeros_like(x)
+    den = np.zeros_like(x)
+    hit = np.full(len(x), -1)
+    for k in range(n + 1):
+        diff = x - nodes[k]
+        at = diff == 0.0
+        diff[at] = 1.0
+        t = lam[k] / diff
+        num += t * fk[k]
+        den += t
+        hit[at] = k
+    out = num / den
+    out[hit >= 0] = fk[hit[hit >= 0]]
+    return out
+
+
+def _row_sum(offset: float, a: np.ndarray, w: np.ndarray, s: float) -> float:
+    """sum_i w_i F(offset + a_i) with F(c) = sum_j w_j (c + a_j)^s, a
+    ascending and w > 0.
+
+    F is evaluated at the n + 1 Chebyshev points of [offset + a_0,
+    offset + a_(L-1)] and its barycentric interpolant at the L = len(a)
+    row offsets, with n from _node_count: each interpolated value is
+    then within SOBOLEV_TOL * min F of F, rounding aside, and so, w
+    being positive, is the sum within SOBOLEV_TOL of itself. When
+    n + 1 >= L, F is
+    evaluated at the row offsets themselves. InvariantError when the
+    bound at the chosen n is not within tolerance.
+    """
+    c = offset + a
+    lo, hi = float(c[0]), float(c[-1])
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    f_min = float(_power_sums(np.array([hi if s < 0 else lo]), a, w, s)[0])
+    n, rho, m = _node_count(mid, half, a, w, s, f_min)
+    if n + 1 >= len(a):
+        return float(w @ _power_sums(c, a, w, s))
+    n = int(n)
+    bound = 4.0 * m * rho**-n / (rho - 1.0)
+    if not bound <= SOBOLEV_TOL * f_min:
+        raise InvariantError(
+            f"Chebyshev bound {bound:.3e} at degree {n} exceeds {SOBOLEV_TOL} of "
+            f"min F = {f_min:.3e} (rho = {rho:.4f})"
+        )
+    nodes = mid + half * _chebyshev_points(n)
+    return float(w @ _barycentric(_power_sums(nodes, a, w, s), (c - mid) / half))
 
 
 def sobolev_norm_sq(f: Datum, s: float) -> float:
     """sum_n (1 + |n|^2)^s phi(n/N)^2 over the support box.
 
     Every axis carries the same n_i^2 and weights psi(n_i/N)^2, so d=1
-    is one vector sum and d=2 is one blocked pair sum over i <= j
-    (_pair_sum); d >= 3 recurses over the leading axes, part(offset,
-    depth) summing w[i] * part(offset + n_i^2, depth - 1) down to the
-    pair sum, with len(axis)^(d-2) pair sums in all.
+    is one vector sum and d=2 is sum_i w_i F(1 + n_i^2) with F(c) =
+    sum_j w_j (c + n_j^2)^s, which _row_sum takes from a Chebyshev
+    interpolant of F, its degree set by a Bernstein-ellipse bound that
+    keeps the relative error within SOBOLEV_TOL; d >= 3 recurses over
+    the leading axes, part(offset, depth) summing w[i] * part(offset +
+    n_i^2, depth - 1) down to _row_sum, with len(axis)^(d-2) of them.
     """
     if s == 0.0:
         return f.l2_sq()
@@ -179,7 +260,7 @@ def sobolev_norm_sq(f: Datum, s: float) -> float:
 
     def part(offset, depth: int) -> float:
         if depth == 2:
-            return _pair_sum(offset, nsq, w, s)
+            return _row_sum(offset, nsq, w, s)
         total = 0.0
         for i in range(len(nsq)):
             total += w[i] * part(offset + nsq[i], depth - 1)

@@ -93,7 +93,7 @@ def build_divergence_set(
         raise InputError(f"no admissible prime in [{Q}, {2*Q}) for degree {k}")
     x = _empty_set(N, d, rho, c, Q, admissible, poly)
     for q, mask in x.good_by_q.items():
-        mask[...] = good_set_for(poly, q, c, k).mask
+        good_set_for(poly, q, c, k, out=mask)
     return x
 
 

@@ -151,29 +151,54 @@ def _axis_values(
 
 
 def _shifted_values(
-    mom: np.ndarray, pg: np.ndarray, rows: np.ndarray, deltas: np.ndarray, N: int
+    mom: np.ndarray, pg: np.ndarray, rows: np.ndarray, deltas: np.ndarray, N: int,
+    centre: bool = False,
 ) -> np.ndarray:
     """|sum_r prod_i Z_i(r_i) e((b.r + P(r))/q)| for each ball of one prime,
     with the perturbed axis folds Z_i = sum_j c_j(delta_i) M[j] and exact
     integer-reduced phases for b.r, contracted against the full phase
-    grid pg."""
+    grid pg.
+
+    With centre, the values at delta = 0 come too, as row 0 of a (2, m)
+    result whose row 1 holds those at deltas: their axis factors M[0]
+    e(b_i r/q) share each axis's phase gather with the perturbed ones
+    and run in the same contraction.
+    """
     q = mom.shape[1]
     d = rows.shape[1]
     roots = roots_of_unity(q)
     r = np.arange(q, dtype=np.int64)
-    out = np.empty(len(rows))
-    step = max(1, _CONTRACT_ENTRIES // q ** (d - 1))
+    halves = 2 if centre else 1
+    out = np.empty((halves, len(rows)))
+    step = max(1, _CONTRACT_ENTRIES // (halves * q ** (d - 1)))
     for lo in range(0, len(rows), step):
         sl = slice(lo, lo + step)
-        axes = [
-            (_taylor_coeffs(deltas[sl, i], N) @ mom) * roots[np.multiply.outer(rows[sl, i], r) % q]
-            for i in range(d)
-        ]
+        m = len(rows[sl])
+        axes = []
+        for i in range(d):
+            phases = roots[np.multiply.outer(rows[sl, i], r) % q]
+            z = np.empty((halves * m, q), dtype=complex)
+            if centre:
+                np.multiply(mom[0], phases, out=z[:m])
+            np.multiply(_taylor_coeffs(deltas[sl, i], N) @ mom, phases, out=z[-m:])
+            axes.append(z)
         acc = axes[0] @ pg.reshape(q, -1)
         for z in axes[1:]:
             acc = np.einsum("mr,mrk->mk", z, acc.reshape(len(z), q, -1))
-        out[sl] = np.abs(acc[:, 0])
-    return out
+        out[:, sl] = np.abs(acc[:, 0]).reshape(halves, -1)
+    return out if centre else out[0]
+
+
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """Min, quartiles and max of values, from one sort with the linear
+    interpolation of np.quantile's default method (np.quantile itself
+    imports numpy.ma on first use)."""
+    v = np.sort(values)
+    pos = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * (len(v) - 1)
+    lo = np.floor(pos).astype(np.int64)
+    t = pos - lo
+    a, b = v[lo], v[np.minimum(lo + 1, len(v) - 1)]
+    return np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)
 
 
 def solution_scan(
@@ -215,8 +240,7 @@ def solution_scan(
         tables = axis_tables(poly, q, mom)
         if tables is None:
             pg = roots_of_unity(q)[phase_residues(poly, q)]
-            at = np.vstack([np.zeros_like(deltas[pos]), deltas[pos]])
-            factors = [np.split(_shifted_values(mom, pg, np.vstack([rows, rows]), at, f.N), 2)]
+            factors = [_shifted_values(mom, pg, rows, deltas[pos], f.N, centre=True)]
         else:
             factors = [_axis_values(u, rows[:, i], deltas[pos, i], f.N) for i, u in enumerate(tables)]
         for center, shifted in factors:
@@ -239,7 +263,7 @@ def solution_scan(
     q_min, pos, rows = next(g for g in groups if g[1].start <= imin < g[1].stop)
     b_min = tuple(int(v) for v in rows[imin - pos.start])
     delta_min = (0.0,) * f.d if center_vals[imin] <= shifted_vals[imin] else tuple(deltas[imin])
-    qs = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+    qs = _quartiles(values)
     return ScanResult(
         sup_lb=float(values.min()),
         witness_q=q_min,

@@ -7,6 +7,7 @@ Parseval identity sum_b |S(b)|^2 = q^(2d) before it is returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -141,6 +142,13 @@ def _table_direct(grid: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def _check_modulus(q: int, d: int) -> None:
+    if not is_prime(q):
+        raise InputError(f"modulus {q} is not prime")
+    if q**d > TABLE_GUARD:
+        raise ResourceError(f"table of q^d = {q**d} entries exceeds guard {TABLE_GUARD}")
+
+
 def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
     """All S(b), b in F_q^d.
 
@@ -151,11 +159,8 @@ def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
     q), one length-q transform per distinct part. The "direct" path is
     the exact-phase contraction of the full grid, used as an oracle.
     """
-    if not is_prime(q):
-        raise InputError(f"modulus {q} is not prime")
     d = poly.dim
-    if q**d > TABLE_GUARD:
-        raise ResourceError(f"table of q^d = {q**d} entries exceeds guard {TABLE_GUARD}")
+    _check_modulus(q, d)
     if method == "dft":
         tables = axis_tables(poly, q)
         values = transform(poly, q) if tables is None else reduce(np.multiply.outer, tables)
@@ -164,10 +169,13 @@ def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
     else:
         raise InputError(f"unknown build method {method!r}")
     table = WeylTable(q=q, d=d, values=values, build_method=method)
-    defect = parseval_defect(table)
-    if defect > PARSEVAL_TOL:
-        raise InvariantError(f"Parseval defect {defect:.3e} above {PARSEVAL_TOL} for q={q}, d={d}")
+    _check_parseval(parseval_defect(table), q, d)
     return table
+
+
+def _check_parseval(defect: float, q: int, d: int) -> None:
+    if not defect <= PARSEVAL_TOL:
+        raise InvariantError(f"Parseval defect {defect:.3e} above {PARSEVAL_TOL} for q={q}, d={d}")
 
 
 def parseval_defect(table: WeylTable) -> float:
@@ -199,21 +207,18 @@ def deligne_check(table: WeylTable, k: int) -> DeligneReport:
     return _degree_report(float(np.abs(table.values).max()), table.q, table.d, k)
 
 
-def good_set(table: WeylTable, c: float, k: int) -> GoodSet:
-    """Residues b with |S(b)| >= c * q^(d/2), as a mask over F_q^d.
-
-    Parseval bounds the density below by (1-c^2) q^d / max|S|^2. When
-    the per-degree bound holds on the table the density is checked
-    against (1-c^2)/(k-1)^2; otherwise, when the classical bound holds,
-    against (1-c^2)/(k-1)^(2d). Tables above both bounds are not checked.
-    """
+def _good_set(
+    q: int, d: int, c: float, k: int, moduli: list[np.ndarray], out: np.ndarray | None = None
+) -> GoodSet:
+    """The good set whose |S| is the outer product of the arrays in
+    moduli (one full table, or one array per axis), its mask written
+    into out when one is given, and its density checked against the
+    Parseval floor that the degree report of max |S| allows."""
     if not 0 < c < 1:
         raise InputError(f"threshold constant must be in (0,1), got {c}")
-    q, d = table.q, table.d
-    moduli = np.abs(table.values)
-    report = _degree_report(float(moduli.max()), q, d, k)
     threshold = c * float(q) ** (d / 2)
-    mask = moduli >= threshold
+    mask = np.greater_equal(reduce(np.multiply.outer, moduli), threshold, out=out)
+    report = _degree_report(math.prod(float(m.max()) for m in moduli), q, d, k)
     density = np.count_nonzero(mask) / float(q) ** d
     floor = None
     if report.ok:
@@ -229,6 +234,38 @@ def good_set(table: WeylTable, c: float, k: int) -> GoodSet:
     return GoodSet(q=q, d=d, c=c, threshold=threshold, mask=mask, density=density)
 
 
-def good_set_for(poly: IntPolynomial, q: int, c: float, k: int) -> GoodSet:
-    """Good set of q, read off the full Weyl table of poly."""
-    return good_set(weyl_table(poly, q), c, k)
+def good_set(table: WeylTable, c: float, k: int) -> GoodSet:
+    """Residues b with |S(b)| >= c * q^(d/2), as a mask over F_q^d.
+
+    Parseval bounds the density below by (1-c^2) q^d / max|S|^2. When
+    the per-degree bound holds on the table the density is checked
+    against (1-c^2)/(k-1)^2; otherwise, when the classical bound holds,
+    against (1-c^2)/(k-1)^(2d). Tables above both bounds are not checked.
+    """
+    return _good_set(table.q, table.d, c, k, [np.abs(table.values)])
+
+
+def good_set_for(
+    poly: IntPolynomial, q: int, c: float, k: int, out: np.ndarray | None = None
+) -> GoodSet:
+    """Good set of q for the symbol poly, its mask written into out
+    (a C-order bool array of shape (q,)*d) when one is given.
+
+    A mixed symbol is thresholded on its full Weyl table, as by
+    good_set. A symbol with no mixed monomial builds no q^d complex
+    table: |S(b)| = prod_i |S_i(b_i)| for the d one-dimensional
+    transforms of weyl.axis_tables, so the mask is the outer product of
+    the axis moduli thresholded at c q^(d/2). Parseval is checked on
+    every axis (sum |S_i|^2 = q^2, the factors of the full identity), the
+    degree report takes the product of the per-axis maxima, and the
+    density floor is that of good_set.
+    """
+    d = poly.dim
+    _check_modulus(q, d)
+    tables = axis_tables(poly, q)
+    if tables is None:
+        return _good_set(q, d, c, k, [np.abs(weyl_table(poly, q).values)], out)
+    moduli = [np.abs(t) for t in tables]
+    for m in moduli:
+        _check_parseval(abs(float(np.sum(m * m)) - float(q) ** 2) / float(q) ** 2, q, 1)
+    return _good_set(q, d, c, k, moduli, out)

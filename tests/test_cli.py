@@ -277,7 +277,7 @@ def test_measure_xn_invalid_balls_exit_2(capsys, tmp_path):
     ('# {"Q": 101, "c": 0.5, "d": 2, "n": 1024, "rho": 0.03125}', "3037000507,5,6"),
 ])
 def test_measure_xn_bitmap_guard_exit_3(capsys, tmp_path, header, ball):
-    # the mask of this one prime alone has q^d > 2^28 entries
+    # the mask of this one prime alone needs q^d bytes, more than divset.BITMAP_GUARD = 2^29
     path = tmp_path / "huge.csv"
     path.write_text(header + "\nq," + ",".join(f"b{i}" for i in range(ball.count(","))) + "\n" + ball + "\n")
     code, out = run(capsys, "measure-xn", "--in", str(path))

@@ -122,7 +122,7 @@ def test_sobolev_scaling_d2():
     pytest.param(2, 12, id="2"),
     pytest.param(3, 12, id="3"),
     pytest.param(4, 12, id="4"),
-    # 447 entries per axis: several row blocks of the pair sum, the last one partial
+    # 447 entries per axis: F from its Chebyshev interpolant, not at every row offset
     pytest.param(2, 256, id="2-256"),
 ])
 def test_sobolev_matches_full_box_sum(d, n):
@@ -134,6 +134,50 @@ def test_sobolev_matches_full_box_sum(d, n):
     for s in (1 / 3, 0.25, 1.0, -0.25, 2.5):
         want = math.fsum(((1.0 + sum(g**2 for g in grids)) ** s * weights).ravel())
         assert sobolev_norm_sq(f, s) == pytest.approx(want, rel=1e-12)
+
+
+def _pair_sum(offset, a, w, s, block=1 << 16):
+    """Exact oracle: sum over all i, j of w_i w_j (offset + a_i + a_j)^s,
+    from the pairs i <= j in row blocks of at most block entries, the
+    off-diagonal columns weighted twice."""
+    n = len(a)
+    total = 0.0
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, block // (n - lo)))
+        rows = np.add.outer(offset + a[lo:hi], a[lo:])
+        np.power(rows, s, out=rows)
+        cols = w[lo:].copy()
+        cols[hi - lo :] *= 2.0
+        total += float(np.dot(w[lo:hi], np.dot(rows, cols)))
+        lo = hi
+    return total
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048, 4096])
+def test_sobolev_interpolant_matches_pair_sum(monkeypatch, n):
+    from weylmax import datum
+
+    f = datum_coefficients(n, 2)
+    a = f.axis_n.astype(float) ** 2
+    w = f.axis_psi**2
+    interpolated = []
+    real = datum._barycentric
+    monkeypatch.setattr(datum, "_barycentric", lambda fk, x: interpolated.append(len(fk)) or real(fk, x))
+    for s in (1 / 3, 0.25, -0.25, 2.5):
+        assert sobolev_norm_sq(f, s) == pytest.approx(_pair_sum(1.0, a, w, s), rel=1e-12)
+    # every s took the interpolant, on far fewer nodes than row offsets
+    assert len(interpolated) == 4 and max(interpolated) < len(a) / 4
+
+
+def test_sobolev_bound_above_tolerance_raises(monkeypatch):
+    from weylmax import datum
+    from weylmax.errors import InvariantError
+
+    real = datum._node_count
+    monkeypatch.setattr(datum, "_node_count", lambda *args: (4.0, *real(*args)[1:]))
+    with pytest.raises(InvariantError, match="Chebyshev bound"):
+        sobolev_norm_sq(datum_coefficients(1024, 2), 1 / 3)
 
 
 def test_rational_point_normalizes_residues():

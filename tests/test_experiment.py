@@ -117,6 +117,40 @@ def test_scan_quantiles_ordered():
     assert qs["min"] == scan.sup_lb and qs["max"] == scan.max_value
 
 
+def test_scan_quartiles_match_np_quantile():
+    import numpy as np
+
+    from weylmax.experiment import _quartiles
+
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 3, 4, 5, 8, 101, 1500):
+        values = rng.lognormal(8.0, 1.0, size)
+        want = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(_quartiles(values), want, rtol=1e-12, atol=0.0)
+
+
+def test_ratio_experiment_leaves_numpy_ma_unimported():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "from weylmax.experiment import ExperimentConfig, ratio_experiment\n"
+        "from weylmax.poly import family_diagonal\n"
+        "for d in (1, 2):\n"
+        "    ratio_experiment(family_diagonal(d, 2), 1 / 3, [512],\n"
+        "                     ExperimentConfig(sample_budget=200, mc_samples=1000))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _diagonal_set(p, n):
     """The divergence set of p at scale n; for d = 3, where every usable
     band needs n > 4096, the good sets of a few small primes instead."""

@@ -166,6 +166,42 @@ def test_good_set_for_matches_direct_table():
         assert np.all(np.diff(keys) > 0)
 
 
+@pytest.mark.parametrize("p, qs", [
+    pytest.param(family_diagonal(2, 2), primes_in_band(101, 202).primes, id="squares-1024"),
+    pytest.param(family_diagonal(2, 3), primes_in_band(101, 202).primes, id="cubes-1024"),
+    pytest.param(IntPolynomial(3, {(3, 0, 0): 1, (0, 2, 0): 2, (0, 0, 3): 1, (0, 0, 1): 5}),
+                 (5, 7, 11, 13, 17), id="d3-split"),
+])
+def test_split_good_sets_match_direct(p, qs):
+    # every band prime of N=1024 (Q = 101) for the d=2 diagonals
+    k = p.degree()
+    for q in qs:
+        if k % q == 0:
+            continue
+        want = good_set(weyl_table(p, q, method="direct"), 0.5, k)
+        out = np.zeros((q,) * p.dim, dtype=bool)
+        got = good_set_for(p, q, 0.5, k, out=out)
+        assert got.mask is out
+        assert np.array_equal(out, want.mask), q
+        assert got.density == want.density and got.threshold == want.threshold
+        assert np.array_equal(good_set_for(p, q, 0.5, k).mask, want.mask)
+
+
+def test_split_good_set_corrupted_axis_table(monkeypatch):
+    from weylmax import weyl
+
+    real = weyl.axis_tables
+
+    def corrupted(poly, q, weights=None):
+        tables = [t.copy() for t in real(poly, q, weights)]
+        tables[1][3] *= 1.01
+        return tables
+
+    monkeypatch.setattr(weyl, "axis_tables", corrupted)
+    with pytest.raises(InvariantError, match="Parseval"):
+        good_set_for(family_diagonal(2, 2), 101, 0.5, 2)
+
+
 def test_good_set_classical_floor_d2():
     # max |S| = 15 lies above the per-degree bound 2*5 and below the
     # classical 2^2*5, so the floor (1-c^2)/(k-1)^(2d) = 0.75/16 applies
