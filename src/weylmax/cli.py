@@ -35,10 +35,17 @@ EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from exc
+
+
 def _load_poly(args) -> poly.IntPolynomial:
     if getattr(args, "poly_file", None):
-        with open(args.poly_file) as fh:
-            p = poly.parse_polynomial(fh.read())
+        p = poly.parse_polynomial(_read_text(args.poly_file))
     elif getattr(args, "poly", None):
         p = poly.parse_polynomial(args.poly)
     else:
@@ -66,8 +73,11 @@ def _config(args, p: poly.IntPolynomial | None = None) -> dict:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"{out_path}: cannot write: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -76,6 +86,37 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _json_out(obj: dict, out_path: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True, default=float), out_path)
+
+
+def _int_csv(columns: list[str], table) -> str:
+    """The text ``csv.writer`` writes for the header ``columns`` and the
+    rows of a table of non-negative integers, one row per table row.
+
+    Each column is rendered as fixed-width ASCII digits (the width of its
+    largest value) into one byte array, and the leading-zero pad bytes
+    are masked out, so no Python object is made per field.
+    """
+    head = ",".join(columns) + "\r\n"
+    table = np.asarray(table, dtype=np.int64).reshape(-1, len(columns))
+    if not table.size:
+        return head
+    if table.min() < 0:
+        raise ValueError("_int_csv writes non-negative integers only")
+    widths = [len(str(v)) for v in table.max(axis=0).tolist()]
+    # digits of every field, a "," after each field but the last, then \r\n
+    out = np.empty((len(table), sum(widths) + len(widths) + 1), dtype=np.uint8)
+    keep = np.ones(out.shape, dtype=bool)
+    pos = 0
+    for col, width in zip(table.T, widths):
+        for k in range(width):  # one scalar divisor per digit
+            power = 10 ** (width - 1 - k)
+            out[:, pos + k] = col // power % 10 + ord("0")
+            if k < width - 1:
+                keep[:, pos + k] = col >= power
+        out[:, pos + width] = ord(",")
+        pos += width + 1
+    out[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return head + out[keep].tobytes().decode("ascii")
 
 
 def _parse_vector(text: str, name: str) -> tuple[float, ...]:
@@ -123,13 +164,8 @@ def cmd_good_set(args) -> int:
         "density": gs.density,
     }
     if args.out:
-        buf = io.StringIO()
-        buf.write("# " + json.dumps(_config(args, p), sort_keys=True) + "\n")
-        writer = csv.writer(buf)
-        writer.writerow([f"b{i}" for i in range(p.dim)])
-        for row in gs.members:
-            writer.writerow(list(map(int, row)))
-        _emit(buf.getvalue(), args.out)
+        head = "# " + json.dumps(_config(args, p), sort_keys=True) + "\n"
+        _emit(head + _int_csv([f"b{i}" for i in range(p.dim)], gs.members), args.out)
     _json_out(obj, None)
     return EXIT_OK
 
@@ -176,22 +212,12 @@ def cmd_build_xn(args) -> int:
     x = divset.build_divergence_set(p, args.n, c=args.c, rho=args.rho)
     cfg = _config(args, p)
     cfg["Q"] = x.Q
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
-    writer = csv.writer(buf)
-    writer.writerow(["q"] + [f"b{i}" for i in range(p.dim)])
-    for q, b in x.ball_list():
-        writer.writerow([q, *b])
-    _emit(buf.getvalue(), args.out)
+    # one (J, 1 + d) table: ascending q, each prime's residues in lex order
+    rows = [x.rows(q) for q in x.primes]
+    table = np.column_stack((np.repeat(x.primes, [len(r) for r in rows]), np.concatenate(rows)))
+    head = "# " + json.dumps(cfg, sort_keys=True) + "\n"
+    _emit(head + _int_csv(["q"] + [f"b{i}" for i in range(p.dim)], table), args.out)
     return EXIT_OK
-
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except (OSError, ValueError) as exc:
-        raise InputError(f"{path}: cannot read: {exc}") from exc
 
 
 def _read_xn(path: str) -> divset.DivergenceSet:
@@ -411,14 +437,12 @@ def _args_weyl_table(sp) -> None:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--method", choices=["dft", "direct"])
     _add_out(sp)
-    sp.set_defaults(func=cmd_weyl_table)
 
 
 def _args_verify_deligne(sp) -> None:
     _add_poly(sp)
     sp.add_argument("--q", type=int, required=True)
     _add_out(sp)
-    sp.set_defaults(func=cmd_verify_deligne)
 
 
 def _args_good_set(sp) -> None:
@@ -426,7 +450,6 @@ def _args_good_set(sp) -> None:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--c", type=float, default=0.5)
     _add_out(sp)
-    sp.set_defaults(func=cmd_good_set)
 
 
 def _args_solution_eval(sp) -> None:
@@ -436,7 +459,6 @@ def _args_solution_eval(sp) -> None:
     sp.add_argument("--b", required=True, help="comma-separated residues")
     sp.add_argument("--delta", help="comma-separated perturbation")
     _add_out(sp)
-    sp.set_defaults(func=cmd_solution_eval)
 
 
 def _args_decompose(sp) -> None:
@@ -446,7 +468,6 @@ def _args_decompose(sp) -> None:
     sp.add_argument("--b", required=True)
     sp.add_argument("--delta")
     _add_out(sp)
-    sp.set_defaults(func=cmd_decompose)
 
 
 def _args_build_xn(sp) -> None:
@@ -455,7 +476,6 @@ def _args_build_xn(sp) -> None:
     sp.add_argument("--c", type=float, default=0.5)
     sp.add_argument("--rho", type=float, default=1.0 / 32.0)
     _add_out(sp)
-    sp.set_defaults(func=cmd_build_xn)
 
 
 def _args_measure_xn(sp) -> None:
@@ -464,7 +484,6 @@ def _args_measure_xn(sp) -> None:
     sp.add_argument("--samples", type=int, default=200_000)
     sp.add_argument("--seed", type=int, default=0)
     _add_out(sp)
-    sp.set_defaults(func=cmd_measure_xn)
 
 
 def _args_ratio_experiment(sp) -> None:
@@ -478,13 +497,11 @@ def _args_ratio_experiment(sp) -> None:
     sp.add_argument("--samples", type=int, default=200_000)
     sp.add_argument("--threads", type=int, default=1, help="accepted for compatibility, ignored")
     _add_out(sp)
-    sp.set_defaults(func=cmd_ratio_experiment)
 
 
 def _args_fit(sp) -> None:
     sp.add_argument("--in", dest="infile", required=True)
     _add_out(sp)
-    sp.set_defaults(func=cmd_fit)
 
 
 def _args_lattice_count(sp) -> None:
@@ -492,16 +509,14 @@ def _args_lattice_count(sp) -> None:
     sp.add_argument("qp", type=int)
     sp.add_argument("bound", type=float)
     _add_out(sp)
-    sp.set_defaults(func=cmd_lattice_count)
 
 
 def _args_selftest(sp) -> None:
-    sp.set_defaults(func=cmd_selftest)
+    """selftest takes no arguments."""
 
 
-# name -> (help, adder of the arguments and the handler), in help order.
-# The adders read cmd_* when the parser is built, so a rebound module
-# attribute (a wrapper) is the one called.
+# name -> (help, adder of the arguments), in help order. The handler of
+# a name is cmd_<name with "-" as "_">.
 COMMANDS = {
     "weyl-table": ("all S(b) for one prime, per-b CSV", _args_weyl_table),
     "verify-deligne": ("max |S(b)| against the degree bound", _args_verify_deligne),
@@ -517,30 +532,27 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or only ``command`` when it
-    is given (a subcommand's own parser and help do not depend on the
-    others)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand."""
     parser = argparse.ArgumentParser(prog="weylmax", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args) in COMMANDS.items():
-        if command is None or name == command:
-            sp = sub.add_parser(name, help=help_text)
-            add_args(sp)
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
+PARSER = build_parser()
+
+
 def dispatch(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # parse with the named subcommand's parser only; anything else (no
-    # arguments, -h, an unknown command) gets the full parser and its help
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    # looked up when called, so a rebound module attribute (a wrapper) runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

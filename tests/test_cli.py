@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -7,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weylmax import divset
-from weylmax.cli import COMMANDS, _read_xn, build_parser, dispatch
+from weylmax import cli, divset, weyl
+from weylmax.cli import COMMANDS, _int_csv, _read_xn, build_parser, dispatch
 from weylmax.poly import parse_polynomial
 
 P_SQ = '{"d":1,"terms":[{"e":[2],"c":1}]}'
@@ -139,11 +142,95 @@ def test_lean_parser_keeps_help_and_errors(capsys):
     assert "usage: weylmax build-xn" in capsys.readouterr().err
 
 
-def test_build_parser_for_one_command():
-    lean = build_parser("fit")
-    assert list(lean._subparsers._group_actions[0].choices) == ["fit"]
-    assert lean.parse_args(["fit", "--in", "rows.csv"]).infile == "rows.csv"
-    assert list(build_parser()._subparsers._group_actions[0].choices) == list(COMMANDS)
+def test_dispatch_resolves_handler_when_called(capsys, monkeypatch):
+    # a wrapper bound to the module attribute after import is the one run
+    assert list(cli.PARSER._subparsers._group_actions[0].choices) == list(COMMANDS)
+    for name in COMMANDS:
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+    seen = []
+    monkeypatch.setattr(cli, "cmd_lattice_count", lambda args: seen.append(args.q) or 0)
+    monkeypatch.setattr(cli, "cmd_build_xn", lambda args: seen.append(args.n) or 4)
+    assert dispatch(["lattice-count", "3", "5", "2"]) == 0
+    assert dispatch(["build-xn", "--poly", P_SQ, "--n", "4096"]) == 4
+    assert seen == [3, 4096]
+    assert capsys.readouterr().out == ""
+
+
+def _csv_writer_text(columns, rows) -> str:
+    """The oracle: what csv.writer writes for a header and integer rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows([int(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+EDGES = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 9999, 10_000, 123_456_789, 10**12, 2**62]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_int_csv_matches_csv_writer(d):
+    columns = ["q"] + [f"b{i}" for i in range(d)]
+    rng = np.random.default_rng(d)
+    table = np.column_stack([rng.permutation(EDGES) for _ in range(1 + d)])
+    for rows in (table, table[:1], table[:0]):
+        assert _int_csv(columns, rows) == _csv_writer_text(columns, rows)
+    assert _int_csv(columns, table[:0]) == ",".join(columns) + "\r\n"  # header only
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2), max_size=20))
+def test_int_csv_matches_csv_writer_on_any_rows(rows):
+    assert _int_csv(["a", "b"], np.array(rows, dtype=np.int64)) == _csv_writer_text(["a", "b"], rows)
+
+
+def test_int_csv_refuses_negative_values():
+    with pytest.raises(ValueError):
+        _int_csv(["a"], np.array([[3], [-1]]))
+
+
+def test_build_xn_stdout_equals_out_file(capsys, tmp_path):
+    poly2 = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
+    path = tmp_path / "xn.csv"
+    assert run(capsys, "build-xn", "--poly", poly2, "--n", "512", "--out", str(path))[0] == 0
+    code, out = run(capsys, "build-xn", "--poly", poly2, "--n", "512")
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+
+
+def test_good_set_out_rows_match_members(capsys, tmp_path):
+    path = tmp_path / "gs.csv"
+    poly2 = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
+    code, out = run(capsys, "good-set", "--poly", poly2, "--q", "31", "--out", str(path))
+    assert code == 0
+    head, _, body = path.read_bytes().decode().partition("\n")
+    assert json.loads(head[2:])["q"] == 31
+    members = weyl.good_set_for(parse_polynomial(poly2), 31, 0.5, 3).members
+    assert body == _csv_writer_text(["b0", "b1"], members)
+    assert json.loads(out)["count"] == len(members)
+
+
+@pytest.mark.parametrize("command", [
+    ["build-xn", "--poly", P_SQ, "--n", "4096"],
+    ["good-set", "--poly", P_SQ, "--q", "13"],
+    ["lattice-count", "3", "5", "2"],
+])
+def test_unwritable_out_exit_2(capsys, tmp_path, command):
+    for target in (tmp_path / "absent" / "out.csv", tmp_path):
+        code, out, err = run_err(capsys, *command, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("input error:")
+
+
+def test_unreadable_poly_file_exit_2(capsys, tmp_path):
+    good = tmp_path / "p.json"
+    good.write_text(P_SQ)
+    assert run(capsys, "verify-deligne", "--poly-file", str(good), "--q", "7")[0] == 0
+    for target in (tmp_path / "absent.json", tmp_path):
+        for command in (["verify-deligne", "--q", "7"], ["build-xn", "--n", "4096"]):
+            code, out, err = run_err(capsys, *command, "--poly-file", str(target))
+            assert code == 2 and out == ""
+            assert err.startswith("input error:") and "cannot read" in err
 
 
 def test_input_error_exit_2(capsys):
