@@ -106,13 +106,15 @@ def _int_csv(columns: list[str], table) -> str:
     # digits of every field, a "," after each field but the last, then \r\n
     out = np.empty((len(table), sum(widths) + len(widths) + 1), dtype=np.uint8)
     keep = np.ones(out.shape, dtype=bool)
+    digit = np.empty(len(table), dtype=np.int64)  # reused: no table-sized temporary per digit
     pos = 0
     for col, width in zip(table.T, widths):
         for k in range(width):  # one scalar divisor per digit
             power = 10 ** (width - 1 - k)
-            out[:, pos + k] = col // power % 10 + ord("0")
+            np.remainder(np.floor_divide(col, power, out=digit), 10, out=digit)
+            np.add(digit, ord("0"), out=out[:, pos + k], casting="unsafe")
             if k < width - 1:
-                keep[:, pos + k] = col >= power
+                np.greater_equal(col, power, out=keep[:, pos + k])
         out[:, pos + width] = ord(",")
         pos += width + 1
     out[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
@@ -210,13 +212,8 @@ def cmd_decompose(args) -> int:
 def cmd_build_xn(args) -> int:
     p = _load_poly(args)
     x = divset.build_divergence_set(p, args.n, c=args.c, rho=args.rho)
-    cfg = _config(args, p)
-    cfg["Q"] = x.Q
-    # one (J, 1 + d) table: ascending q, each prime's residues in lex order
-    rows = [x.rows(q) for q in x.primes]
-    table = np.column_stack((np.repeat(x.primes, [len(r) for r in rows]), np.concatenate(rows)))
-    head = "# " + json.dumps(cfg, sort_keys=True) + "\n"
-    _emit(head + _int_csv(["q"] + [f"b{i}" for i in range(p.dim)], table), args.out)
+    head = "# " + json.dumps({**_config(args, p), "Q": x.Q}, sort_keys=True) + "\n"
+    _emit(head + _int_csv(["q"] + [f"b{i}" for i in range(p.dim)], x.balls()), args.out)
     return EXIT_OK
 
 

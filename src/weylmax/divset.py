@@ -40,19 +40,46 @@ class DivergenceSet:
 
     @property
     def ball_count(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        return sum(self._counts())
 
     @property
     def primes(self) -> list[int]:
         return sorted(self.good_by_q)
 
+    def _counts(self) -> list[int]:
+        return [int(np.count_nonzero(self.good_by_q[q])) for q in self.primes]
+
     def rows(self, q: int) -> np.ndarray:
         """(m, d) residues of the balls of q, in lex order."""
         return np.argwhere(self.good_by_q[q])
 
+    def balls(self, at: np.ndarray | None = None) -> np.ndarray:
+        """(m, 1 + d) int64 rows ``q, b_0 .. b_{d-1}`` of the balls at the
+        ascending canonical positions ``at`` (primes ascending, residues
+        lex: the order of the set entries of ``bits``), or of every ball.
+        Column-major (readers take whole columns); one mask decoded at a time."""
+        counts = self._counts()
+        starts = np.cumsum([0] + counts).tolist()
+        cuts = starts
+        if at is not None:
+            at = np.asarray(at, dtype=np.int64)
+            if at.size and (at[0] < 0 or at[-1] >= starts[-1] or (np.diff(at) < 0).any()):
+                raise IndexError(f"ball positions must ascend in [0, {starts[-1]})")
+            cuts = np.searchsorted(at, starts).tolist()
+        out = np.empty((cuts[-1], 1 + self.d), dtype=np.int64, order="F")
+        for q, start, lo, hi in zip(self.primes, starts, cuts, cuts[1:]):
+            mask = self.good_by_q[q]
+            out[lo:hi, 0] = q
+            if at is None:
+                out[lo:hi, 1:] = np.argwhere(mask)
+            elif hi > lo:
+                picked = np.flatnonzero(mask)[at[lo:hi] - start]
+                out[lo:hi, 1:] = np.stack(np.unravel_index(picked, mask.shape), axis=1)
+        return out
+
     def ball_list(self) -> list[tuple[int, tuple[int, ...]]]:
-        """All (q, b) in canonical order: primes ascending, residues lex."""
-        return [(q, tuple(row)) for q in self.primes for row in self.rows(q).tolist()]
+        """All (q, b) in canonical order, one Python tuple per ball."""
+        return [(q, tuple(b)) for q, *b in self.balls().tolist()]
 
 
 @dataclass(frozen=True)
@@ -185,32 +212,27 @@ def overlap_pair_count(x: DivergenceSet) -> int:
 
 
 def _exact_interval_measure(x: DivergenceSet) -> float:
+    """Length of the union of the arcs [b/q - r, b/q + r], split at the
+    wrap. A sorted segment starting past the running maximum of the ends
+    before it opens a component; the component lengths are added in
+    order, so the sum is a sequential merge loop's bit for bit."""
     r = x.rho / x.N
     if 2 * r >= 1.0:
         return 1.0
-    segments = []
-    for q in x.primes:
-        for b in np.flatnonzero(x.good_by_q[q]):
-            lo = (b / q - r) % 1.0
-            hi = lo + 2 * r
-            if hi <= 1.0:
-                segments.append((lo, hi))
-            else:
-                segments.append((lo, 1.0))
-                segments.append((0.0, hi - 1.0))
-    if not segments:
+    table = x.balls()
+    if not len(table):
         return 0.0
-    segments.sort()
-    total = 0.0
-    cur_lo, cur_hi = segments[0]
-    for lo, hi in segments[1:]:
-        if lo <= cur_hi:
-            cur_hi = max(cur_hi, hi)
-        else:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-    total += cur_hi - cur_lo
-    return total
+    lo = (table[:, 1] / table[:, 0] - r) % 1.0
+    hi = lo + 2 * r
+    wrap = hi > 1.0
+    lo = np.concatenate((lo, np.zeros(np.count_nonzero(wrap))))
+    hi = np.concatenate((np.minimum(hi, 1.0), hi[wrap] - 1.0))
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+    last = np.append(first[1:], len(lo)) - 1
+    return float(np.cumsum(reach[last] - lo[first])[-1])
 
 
 _MC_BLOCK = 1 << 16
@@ -335,17 +357,14 @@ def revalidate_members(x: DivergenceSet, fraction: float = 0.01, seed=0) -> int:
     """
     if x.polynomial is None:
         raise InputError("divergence set has no polynomial attached")
-    balls = x.ball_list()
-    n = max(1, int(len(balls) * fraction))
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(balls), size=min(n, len(balls)), replace=False)
-    for i in idx:
-        q, b = balls[int(i)]
+    j = x.ball_count
+    idx = np.random.default_rng(seed).choice(j, size=min(max(1, int(j * fraction)), j), replace=False)
+    for q, *b in x.balls(np.sort(idx)).tolist():
         s = weyl_sum_direct(x.polynomial, q, b)
         threshold = x.c * float(q) ** (x.d / 2)
         if abs(s) < threshold * (1 - 1e-9):
             raise InputError(
-                f"ball (q={q}, b={b}) fails revalidation: |S| = {abs(s):.6f} < {threshold:.6f}"
+                f"ball (q={q}, b={tuple(b)}) fails revalidation: |S| = {abs(s):.6f} < {threshold:.6f}"
             )
     return len(idx)
 
@@ -369,6 +388,8 @@ def from_balls(
         raise InputError(f"radius constant must be finite and positive, got {rho}")
     if not 0 < c < 1:
         raise InputError(f"threshold constant must be in (0,1), got {c}")
+    if polynomial is not None and polynomial.dim != d:
+        raise InputError(f"polynomial dimension {polynomial.dim} does not match d = {d}")
     if not isinstance(balls, np.ndarray):
         balls = [(q, *b) for q, b in balls]
     try:

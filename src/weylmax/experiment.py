@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datum import Datum, datum_coefficients, sobolev_norm_sq
-from .decomp import fold_axis  # noqa: F401 -- re-exported; perfbench/tracer.py wraps this binding
+from .decomp import fold_axis  # noqa: F401 -- unused; perfbench/test_perfbench.py reads experiment.fold_axis
 from .divset import DivergenceSet, build_divergence_set, measure
 from .errors import InputError, InvariantError, ResourceError
 from .poly import IntPolynomial
@@ -87,36 +87,6 @@ class FitResult:
 TAYLOR_TERMS = 20  # K: moments per axis in the perturbed fold
 TAIL_REL_TOL = 1e-12  # certified tail / smallest shifted value
 _CONTRACT_ENTRIES = 1 << 20  # per-chunk size of the d >= 2 partial contraction
-
-
-def _sample(x: DivergenceSet, sample_budget: int, rng) -> list[tuple[int, slice, np.ndarray]]:
-    """The sampled balls as (q, positions in the draw, residue rows) per prime.
-
-    The flat index runs over the balls in canonical order (primes
-    ascending, residues lex), so the draw picks the same balls as
-    indexing the full ball list would, without materializing it; the
-    residues are unravelled only at the drawn positions of each mask.
-    """
-    primes = x.primes
-    counts = np.array([np.count_nonzero(x.good_by_q[q]) for q in primes], dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        raise InputError("divergence set has no balls")
-    if sample_budget < 1:
-        raise InputError(f"sample budget must be positive, got {sample_budget}")
-    if total > sample_budget:
-        flat = np.sort(rng.choice(total, size=sample_budget, replace=False))
-    else:
-        flat = np.arange(total)
-    starts = np.cumsum(counts) - counts
-    cuts = np.searchsorted(flat, np.append(starts, total))
-    out = []
-    for q, start, lo, hi in zip(primes, starts, cuts[:-1].tolist(), cuts[1:].tolist()):
-        if hi > lo:
-            mask = x.good_by_q[q]
-            picked = np.flatnonzero(mask)[flat[lo:hi] - start]
-            out.append((q, slice(lo, hi), np.stack(np.unravel_index(picked, mask.shape), axis=1)))
-    return out
 
 
 def _taylor_coeffs(delta: np.ndarray, N: int) -> np.ndarray:
@@ -227,15 +197,23 @@ def solution_scan(
     phase grid e(P(r)/q) gives every drawn ball's value at delta = 0
     and at its delta.
     """
+    total = x.ball_count
+    if total == 0:
+        raise InputError("divergence set has no balls")
+    if sample_budget < 1:
+        raise InputError(f"sample budget must be positive, got {sample_budget}")
     rng = np.random.default_rng(seed)
-    groups = _sample(x, sample_budget, rng)
-    n_chosen = groups[-1][1].stop
+    table = x.balls(np.sort(rng.choice(total, size=sample_budget, replace=False))
+                    if total > sample_budget else None)
+    n_chosen = len(table)
     budget = x.rho / (f.d * f.N)
     deltas = rng.uniform(-budget, budget, size=(n_chosen, f.d))
 
     center_vals = np.ones(n_chosen)
     shifted_vals = np.ones(n_chosen)
-    for q, pos, rows in groups:
+    primes, firsts = np.unique(table[:, 0], return_index=True)
+    for q, lo, hi in zip(primes.tolist(), firsts.tolist(), [*firsts[1:].tolist(), n_chosen]):
+        pos, rows = slice(lo, hi), table[lo:hi, 1:]
         mom = _moments(f, q)
         tables = axis_tables(poly, q, mom)
         if tables is None:
@@ -260,14 +238,13 @@ def solution_scan(
 
     values = np.minimum(center_vals, shifted_vals)
     imin = int(np.argmin(values))
-    q_min, pos, rows = next(g for g in groups if g[1].start <= imin < g[1].stop)
-    b_min = tuple(int(v) for v in rows[imin - pos.start])
+    q_min, *b_min = table[imin].tolist()
     delta_min = (0.0,) * f.d if center_vals[imin] <= shifted_vals[imin] else tuple(deltas[imin])
     qs = _quartiles(values)
     return ScanResult(
         sup_lb=float(values.min()),
         witness_q=q_min,
-        witness_b=b_min,
+        witness_b=tuple(b_min),
         witness_delta=delta_min,
         max_value=float(values.max()),
         quantiles={"min": qs[0], "q25": qs[1], "median": qs[2], "q75": qs[3], "max": qs[4]},
@@ -341,6 +318,9 @@ def fit_exponent(rows) -> FitResult:
     usable = [r for r in rows if not getattr(r, "failed", False) and math.isfinite(r.ratio) and r.ratio > 0]
     if len(usable) < 3:
         raise InputError(f"exponent fit needs >= 3 successful rows, got {len(usable)}")
+    ns = sorted({r.N for r in usable})
+    if ns[0] < 2 or len(ns) < 2:
+        raise InputError(f"exponent fit needs every N >= 2 and >= 2 distinct N, got N in {ns}")
     xs = np.array([math.log(r.N) for r in usable])
     ys = np.array([math.log(r.ratio) for r in usable])
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -378,6 +378,42 @@ def test_fit_read_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "fit", "--in", str(short))[0] == 2
 
 
+FIT_COLUMNS = "N,Q,J,measure,measure_err,sup_lb,hs_norm,ratio,wall_ms\n"
+
+
+@pytest.mark.parametrize("ladder", [(0, 512, 1024), (-5, 512, 1024), (1, 512, 1024), (512, 512, 512)],
+                         ids=["N=0", "N=-5", "N=1", "all-equal-N"])
+def test_fit_degenerate_ladder_exit_2(capsys, tmp_path, ladder):
+    path = tmp_path / "rows.csv"
+    body = "".join(f"{n},8,10,0.1,0,1.5,2,{0.5 + i},1\n" for i, n in enumerate(ladder))
+    path.write_text(FIT_COLUMNS + body)
+    code, out, err = run_err(capsys, "fit", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert "input error" in err
+
+
+def test_fit_repeated_n_accepted(capsys, tmp_path):
+    # a multi-seed ladder repeats each N
+    path = tmp_path / "rows.csv"
+    body = "".join(f"{n},8,10,0.1,0,1.5,2,{n ** 0.25 * (1 + i % 2 / 100)},1\n"
+                   for i, n in enumerate((512, 512, 1024, 1024)))
+    path.write_text(FIT_COLUMNS + body)
+    code, out = run(capsys, "fit", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["n_points"] == 4
+
+
+def test_measure_xn_poly_dimension_mismatch_exit_2(capsys, tmp_path):
+    cfg = {"Q": 101, "c": 0.5, "d": 2, "n": 1024, "rho": 0.03125, "poly": json.loads(P_SQ)}
+    path = tmp_path / "xn.csv"
+    path.write_text("# " + json.dumps(cfg) + "\nq,b0,b1\n103,5,6\n")
+    code, out = run(capsys, "measure-xn", "--in", str(path))
+    assert code == 2 and out == ""
+    cfg["poly"] = json.loads('{"d":2,"terms":[{"e":[2,0],"c":1},{"e":[0,2],"c":1}]}')
+    path.write_text("# " + json.dumps(cfg) + "\nq,b0,b1\n103,5,6\n")
+    assert run(capsys, "measure-xn", "--in", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("command", ["solution-eval", "decompose"])
 def test_non_integer_residue_exit_2(capsys, command):
     base = [command, "--poly", P_SQ, "--n", "256", "--q", "17"]

@@ -19,6 +19,7 @@ from weylmax.divset import (
 from weylmax.errors import InputError, ResourceError
 from weylmax.numtheory import lattice_pair_count
 from weylmax.poly import family_diagonal, family_power_laplacian
+from weylmax.weyl import weyl_sum_direct
 
 P_SQ = family_diagonal(1, 2)
 P_CUBE = family_diagonal(1, 3)
@@ -167,6 +168,103 @@ def test_measure_exact_rejects_d2():
         measure(x, "exact")
 
 
+def _interval_union_oracle(x):
+    """Sequential merge of the sorted arcs, one Python tuple per segment."""
+    r = x.rho / x.N
+    if 2 * r >= 1.0:
+        return 1.0
+    segments = []
+    for q in x.primes:
+        for b in np.flatnonzero(x.good_by_q[q]):
+            lo = (b / q - r) % 1.0
+            hi = lo + 2 * r
+            if hi <= 1.0:
+                segments.append((lo, hi))
+            else:
+                segments.append((lo, 1.0))
+                segments.append((0.0, hi - 1.0))
+    if not segments:
+        return 0.0
+    segments.sort()
+    total = 0.0
+    cur_lo, cur_hi = segments[0]
+    for lo, hi in segments[1:]:
+        if lo <= cur_hi:
+            cur_hi = max(cur_hi, hi)
+        else:
+            total += cur_hi - cur_lo
+            cur_lo, cur_hi = lo, hi
+    total += cur_hi - cur_lo
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_measure_equals_merge_oracle(data):
+    primes = data.draw(st.lists(st.sampled_from([2, 3, 5, 7, 31, 37, 41]), min_size=1, max_size=3, unique=True))
+    balls = data.draw(st.lists(st.sampled_from(primes).flatmap(
+        lambda q: st.tuples(st.just(q), st.tuples(st.sampled_from([0, q - 1]) | st.integers(0, q - 1)))),
+        max_size=30))
+    n = data.draw(st.sampled_from([64, 1024]))
+    below_cutoff = float(np.nextafter(n / 2, 0.0))  # the largest rho with 2 rho / N < 1
+    rho = data.draw(st.sampled_from([1 / 32, 0.5, n / 8, below_cutoff, n / 2])
+                    | st.floats(1e-3, below_cutoff))
+    x = from_balls(N=n, d=1, rho=rho, c=0.5, Q=2, balls=balls)
+    assert measure(x, "exact").estimate == _interval_union_oracle(x)
+
+
+@pytest.mark.parametrize("balls, rho", [
+    ([(37, (0,))], 1 / 32),  # wraps below 0
+    ([(37, (36,)), (41, (0,)), (41, (40,))], 40.0),  # wraps at both ends, overlapping
+    ([(37, (b,)) for b in range(0, 37, 2)], 20.0),  # overlapping neighbours
+    ([(37, (5,)), (41, (11,))], 511.0),  # nearly the whole circle
+])
+def test_exact_measure_equals_merge_oracle_at_the_edges(balls, rho):
+    x = from_balls(N=1024, d=1, rho=rho, c=0.5, Q=32, balls=balls)
+    assert measure(x, "exact").estimate == _interval_union_oracle(x)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_exact_measure_equals_merge_oracle_on_built_sets(k):
+    for n in (256, 2048):
+        for rho in (1 / 32, 3.0, 40.0):
+            x = build_divergence_set(family_diagonal(1, k), n, rho=rho)
+            assert measure(x, "exact").estimate == _interval_union_oracle(x), (n, rho)
+
+
+def _decoder_sets():
+    rng = np.random.default_rng(3)
+    yield build_divergence_set(P_SQ, 1024)
+    yield build_divergence_set(family_diagonal(2, 2), 512)
+    yield from_balls(N=64, d=3, rho=1 / 32, c=0.5, Q=5, balls=_random_balls(rng, (5, 7, 11), 200, 3))
+    yield from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("x", _decoder_sets(), ids=["d1", "d2", "d3", "empty"])
+def test_balls_stack_the_rows_of_each_prime(x):
+    blocks = [np.column_stack((np.full(len(x.rows(q)), q), x.rows(q))) for q in x.primes]
+    want = np.concatenate(blocks) if blocks else np.zeros((0, 1 + x.d), dtype=np.int64)
+    got = x.balls()
+    assert got.dtype == np.int64 and got.shape == (x.ball_count, 1 + x.d)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x", _decoder_sets(), ids=["d1", "d2", "d3", "empty"])
+def test_balls_at_positions_match_ball_list(x):
+    balls = x.ball_list()
+    rng = np.random.default_rng(8)
+    for size in sorted({0, 1, len(balls) // 3, len(balls)} & set(range(len(balls) + 1))):
+        at = np.sort(rng.choice(len(balls), size=size, replace=False))
+        got = x.balls(at)
+        assert got.shape == (size, 1 + x.d)
+        assert [(q, tuple(b)) for q, *b in got.tolist()] == [balls[i] for i in at]
+    with pytest.raises(IndexError):
+        x.balls([len(balls)])
+    if len(balls) > 1:
+        with pytest.raises(IndexError):
+            x.balls([1, 0])
+
+
 def test_montecarlo_agrees_with_exact_within_4_sigma():
     x = build_divergence_set(P_SQ, 1024)
     truth = measure(x, "exact").estimate
@@ -206,6 +304,25 @@ def test_montecarlo_d2_within_4_sigma_of_bracket(p):
 def test_revalidate_sample_of_centers():
     x = build_divergence_set(P_CUBE, 1024)
     assert revalidate_members(x, fraction=0.02, seed=1) >= 1
+
+
+@pytest.mark.parametrize("p, n, fraction, seed", [
+    (P_CUBE, 1024, 0.02, 1), (P_CUBE, 1024, 1.0, 0), (family_diagonal(2, 3), 512, 0.002, 5),
+])
+def test_revalidate_checks_the_ball_list_draw(monkeypatch, p, n, fraction, seed):
+    x = build_divergence_set(p, n)
+    checked = []
+
+    def record(poly, q, b):
+        checked.append((q, tuple(b)))
+        return weyl_sum_direct(poly, q, b)
+
+    monkeypatch.setattr(dv, "weyl_sum_direct", record)
+    balls = x.ball_list()
+    size = min(max(1, int(len(balls) * fraction)), len(balls))
+    idx = np.random.default_rng(seed).choice(len(balls), size=size, replace=False)
+    assert revalidate_members(x, fraction, seed) == size
+    assert sorted(checked) == sorted(balls[i] for i in idx)
 
 
 def test_revalidate_catches_bad_ball():

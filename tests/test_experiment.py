@@ -310,19 +310,21 @@ def test_scan_witness_reproduces_sup_lb(p, n):
 def test_scan_flat_sampling_matches_ball_list():
     import numpy as np
 
-    from weylmax import experiment
-
     x = build_divergence_set(family_diagonal(2, 2), 512)
     balls = x.ball_list()
     for budget in (1, 700, len(balls), 10 * len(balls)):
-        groups = experiment._sample(x, budget, np.random.default_rng(4))
-        got = [(q, tuple(int(v) for v in row)) for q, _, rows in groups for row in rows]
+        # the draw of solution_scan, decoded by DivergenceSet.balls
         if budget < len(balls):
             idx = np.sort(np.random.default_rng(4).choice(len(balls), size=budget, replace=False))
+            table = x.balls(idx)
+        else:
+            table = x.balls()
+        got = [(q, tuple(b)) for q, *b in table.tolist()]
+        if budget < len(balls):
             assert got == [balls[int(i)] for i in idx]
         else:
             assert got == balls
-        assert [g[1].start for g in groups[1:]] == [g[1].stop for g in groups[:-1]]
+        assert (np.diff(table[:, 0]) >= 0).all()  # each prime's rows are one contiguous block
 
 
 def test_scan_small_taylor_order_trips_tail_check(monkeypatch):
