@@ -34,6 +34,8 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
+DEFAULTS = experiment.ExperimentConfig()  # option defaults shared with the library
+
 
 def _read_text(path: str) -> str:
     try:
@@ -121,14 +123,24 @@ def _int_csv(columns: list[str], table) -> str:
     return head + out[keep].tobytes().decode("ascii")
 
 
-def _parse_vector(text: str, name: str) -> tuple[float, ...]:
+def _parse_list(text: str, name: str, kind=int) -> tuple:
+    """The comma-separated values of an option, each converted by kind."""
     out = []
     for v in text.split(","):
         try:
-            out.append(float(v))
+            out.append(kind(v))
         except ValueError:
-            raise InputError(f"{name} component {v!r} in {text!r} is not a number") from None
+            raise InputError(f"{name} needs comma-separated {kind.__name__} values, "
+                             f"got {v!r} in {text!r}") from None
     return tuple(out)
+
+
+def _point(args, p: poly.IntPolynomial):
+    """The datum at --n and the point b/q + delta of --q, --b, --delta."""
+    f = datum_mod.datum_coefficients(args.n, p.dim)
+    b = _parse_list(args.b, "--b")
+    delta = _parse_list(args.delta, "--delta", float) if args.delta else (0.0,) * p.dim
+    return f, datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
 
 
 def cmd_weyl_table(args) -> int:
@@ -172,19 +184,9 @@ def cmd_good_set(args) -> int:
     return EXIT_OK
 
 
-def _parse_ints(text: str, name: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"{name} needs comma-separated integers, got {text!r}") from exc
-
-
 def cmd_solution_eval(args) -> int:
     p = _load_poly(args)
-    f = datum_mod.datum_coefficients(args.n, p.dim)
-    b = _parse_ints(args.b, "--b")
-    delta = _parse_vector(args.delta, "--delta") if args.delta else (0.0,) * p.dim
-    pt = datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
+    f, pt = _point(args, p)
     u = datum_mod.evaluate_solution(p, f, pt)
     _json_out({
         "config": _config(args, p), "re": u.real, "im": u.imag, "modulus": abs(u),
@@ -194,10 +196,7 @@ def cmd_solution_eval(args) -> int:
 
 def cmd_decompose(args) -> int:
     p = _load_poly(args)
-    f = datum_mod.datum_coefficients(args.n, p.dim)
-    b = _parse_ints(args.b, "--b")
-    delta = _parse_vector(args.delta, "--delta") if args.delta else (0.0,) * p.dim
-    pt = datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
+    f, pt = _point(args, p)
     table = weyl.weyl_table(p, args.q)
     split = decomp.main_error_split(p, f, pt, table)
     _json_out({
@@ -259,10 +258,9 @@ def _read_xn(path: str) -> divset.DivergenceSet:
 
 def cmd_measure_xn(args) -> int:
     x = _read_xn(args.infile)
-    method = args.method or ("exact" if x.d == 1 else "montecarlo")
-    res = divset.measure(x, method=method, samples=args.samples, seed=args.seed)
+    res = divset.measure(x, method=args.method, samples=args.samples, seed=args.seed)
     _json_out({
-        "config": {"version": __version__, "in": args.infile, "method": method,
+        "config": {"version": __version__, "in": args.infile, "method": res.method,
                    "samples": args.samples, "seed": args.seed},
         "estimate": res.estimate, "stderr": res.error,
         "upper_bound": res.upper_bound, "lower_bound": res.lower_bound,
@@ -274,7 +272,7 @@ def cmd_measure_xn(args) -> int:
 
 def cmd_ratio_experiment(args) -> int:
     p = _load_poly(args)
-    ladder = list(_parse_ints(args.n_ladder, "--n-ladder"))
+    ladder = list(_parse_list(args.n_ladder, "--n-ladder"))
     cfg = experiment.ExperimentConfig(
         c=args.c, rho=args.rho, seed=args.seed,
         sample_budget=args.budget, mc_samples=args.samples, threads=args.threads,
@@ -369,7 +367,7 @@ def _selftest_checks():
 
     def measure_single_ball():
         x = divset.from_balls(N=1024, d=1, rho=1 / 32, c=0.5, Q=32, balls=[(37, (5,))])
-        res = divset.measure(x, "exact")
+        res = divset.measure(x)
         return abs(res.estimate - 2 * (1 / 32) / 1024) < 1e-18
 
     def fit_powerlaw():
@@ -445,11 +443,12 @@ def _args_verify_deligne(sp) -> None:
 def _args_good_set(sp) -> None:
     _add_poly(sp)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--c", type=float, default=0.5)
+    sp.add_argument("--c", type=float, default=DEFAULTS.c)
     _add_out(sp)
 
 
-def _args_solution_eval(sp) -> None:
+def _args_point(sp) -> None:
+    """solution-eval and decompose: a symbol, a scale and a point."""
     _add_poly(sp)
     sp.add_argument("--n", type=int, required=True, help="frequency scale N")
     sp.add_argument("--q", type=int, required=True)
@@ -458,27 +457,18 @@ def _args_solution_eval(sp) -> None:
     _add_out(sp)
 
 
-def _args_decompose(sp) -> None:
-    _add_poly(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--delta")
-    _add_out(sp)
-
-
 def _args_build_xn(sp) -> None:
     _add_poly(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--c", type=float, default=0.5)
-    sp.add_argument("--rho", type=float, default=1.0 / 32.0)
+    sp.add_argument("--c", type=float, default=DEFAULTS.c)
+    sp.add_argument("--rho", type=float, default=DEFAULTS.rho)
     _add_out(sp)
 
 
 def _args_measure_xn(sp) -> None:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--method", choices=["exact", "montecarlo"])
-    sp.add_argument("--samples", type=int, default=200_000)
+    sp.add_argument("--samples", type=int, default=DEFAULTS.mc_samples)
     sp.add_argument("--seed", type=int, default=0)
     _add_out(sp)
 
@@ -487,12 +477,12 @@ def _args_ratio_experiment(sp) -> None:
     _add_poly(sp)
     sp.add_argument("--s", type=float, required=True)
     sp.add_argument("--n-ladder", required=True, help="comma-separated ascending scales")
-    sp.add_argument("--c", type=float, default=0.5)
-    sp.add_argument("--rho", type=float, default=1.0 / 32.0)
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--budget", type=int, default=10_000)
-    sp.add_argument("--samples", type=int, default=200_000)
-    sp.add_argument("--threads", type=int, default=1, help="accepted for compatibility, ignored")
+    sp.add_argument("--c", type=float, default=DEFAULTS.c)
+    sp.add_argument("--rho", type=float, default=DEFAULTS.rho)
+    sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
+    sp.add_argument("--budget", type=int, default=DEFAULTS.sample_budget)
+    sp.add_argument("--samples", type=int, default=DEFAULTS.mc_samples)
+    sp.add_argument("--threads", type=int, default=DEFAULTS.threads, help="accepted for compatibility, ignored")
     _add_out(sp)
 
 
@@ -518,8 +508,8 @@ COMMANDS = {
     "weyl-table": ("all S(b) for one prime, per-b CSV", _args_weyl_table),
     "verify-deligne": ("max |S(b)| against the degree bound", _args_verify_deligne),
     "good-set": ("residues with |S(b)| above the threshold", _args_good_set),
-    "solution-eval": ("solution at x = b/q + delta, t = 1/q", _args_solution_eval),
-    "decompose": ("main/error split at a rational point", _args_decompose),
+    "solution-eval": ("solution at x = b/q + delta, t = 1/q", _args_point),
+    "decompose": ("main/error split at a rational point", _args_point),
     "build-xn": ("divergence-set ball list as CSV", _args_build_xn),
     "measure-xn": ("measure a stored divergence set", _args_measure_xn),
     "ratio-experiment": ("full ladder of ratio rows", _args_ratio_experiment),

@@ -19,10 +19,9 @@ import numpy as np
 from .accum import csum_complex
 from .errors import InputError, InvariantError, ResourceError
 from .poly import IntPolynomial
-from .weyl import phase_index, roots_of_unity
+from .weyl import TABLE_GUARD, phase_index, roots_of_unity
 
-RHO_DEFAULT = 1.0 / 32.0  # shared ball-radius / perturbation-budget constant
-BOX_GUARD = 1 << 28  # max entries of the support box that evaluate_solution walks
+BOX_GUARD = 1 << 28  # max entries of a support axis and of the box evaluate_solution walks
 SOBOLEV_TOL = 1e-14  # relative error bound of the interpolated d >= 2 Sobolev norm
 _POWER_BLOCK = 1 << 16  # max powers (c + a_j)^s held at once
 _ELLIPSE_FRACTIONS = np.linspace(0.05, 0.95, 19)  # trial rho, as fractions of rho0 - 1
@@ -82,19 +81,6 @@ class Datum:
     axis_n: np.ndarray  # integers n with N/4 < n < 2N
     axis_psi: np.ndarray  # psi(n/N) on axis_n, all in (0, 1]
 
-    def coefficient(self, n: Sequence[int]) -> float:
-        """phi(n/N); 0 outside the support box."""
-        if len(n) != self.d:
-            raise InputError(f"point has {len(n)} coordinates, expected {self.d}")
-        lo, hi = int(self.axis_n[0]), int(self.axis_n[-1])
-        out = 1.0
-        for v in n:
-            v = int(v)
-            if v < lo or v > hi:
-                return 0.0
-            out *= float(self.axis_psi[v - lo])
-        return out
-
     def l2_sq(self) -> float:
         """sum of squared coefficients, exact product over axes."""
         return float(np.sum(self.axis_psi**2)) ** self.d
@@ -124,9 +110,6 @@ class RationalPoint:
     def d(self) -> int:
         return len(self.b)
 
-    def within_budget(self, N: int, rho: float = RHO_DEFAULT) -> bool:
-        return max(abs(v) for v in self.delta) <= rho / (self.d * N) * (1 + 1e-12)
-
 
 def datum_coefficients(N: int, d: int) -> Datum:
     """Coefficients phi(n/N) on the open box (N/4, 2N)^d."""
@@ -136,6 +119,8 @@ def datum_coefficients(N: int, d: int) -> Datum:
         raise InputError(f"dimension must be >= 1, got {d}")
     lo = N // 4 + 1
     hi = 2 * N - 1
+    if hi - lo + 1 > BOX_GUARD:
+        raise ResourceError(f"support axis of {hi - lo + 1} entries exceeds guard {BOX_GUARD}")
     axis = np.arange(lo, hi + 1, dtype=np.int64)
     psi = bump(axis / N)
     keep = psi > 0.0
@@ -283,6 +268,8 @@ def evaluate_solution(poly: IntPolynomial, f: Datum, pt: RationalPoint) -> compl
     """
     if poly.dim != f.d or pt.d != f.d:
         raise InputError(f"dimension mismatch: polynomial {poly.dim}, datum {f.d}, point {pt.d}")
+    if pt.q > TABLE_GUARD:  # roots_of_unity(q) holds q complex entries
+        raise ResourceError(f"modulus q = {pt.q} exceeds the table guard {TABLE_GUARD}")
     if len(f.axis_n) ** f.d > BOX_GUARD:
         raise ResourceError(f"support box {len(f.axis_n)}^{f.d} exceeds guard {BOX_GUARD}")
     q = pt.q

@@ -141,11 +141,6 @@ def discrete_laplacian(g: np.ndarray, axis: int | None = None) -> np.ndarray:
     return out
 
 
-def laplacian_symbol(ell, q: int) -> float:
-    """Eigenvalue of the cyclic Laplacian on e(-r.l/q): -4 sum_j sin^2(pi l_j / q)."""
-    return float(-4.0 * sum(np.sin(np.pi * lj / q) ** 2 for lj in ell))
-
-
 def sbp_check(g: np.ndarray, h: np.ndarray) -> float:
     """Residual |sum (Lap g) h - sum g (Lap h)|; zero in exact arithmetic."""
     g = np.asarray(g)

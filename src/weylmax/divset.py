@@ -102,15 +102,15 @@ def build_divergence_set(
     k = poly.degree()
     if k < 2:
         raise InputError(f"symbol degree must be >= 2, got {k}")
-    if not 0 < c < 1:
-        raise InputError(f"threshold constant must be in (0,1), got {c}")
-    if not (math.isfinite(rho) and rho > 0):
-        raise InputError(f"radius constant must be finite and positive, got {rho}")
+    _check_constants(c, rho)
     Q = band_start(N, d)
     if Q < 2:
         raise InputError(f"N={N} too small: band start Q={Q}")
     if 2 * Q - 1 >= N / 4:
         raise InputError(f"band [{Q}, {2*Q}) too close to N/4 = {N/4}; increase N")
+    if Q**d > BITMAP_GUARD:  # [Q, 2Q) holds a prime, and its mask alone has >= Q^d bytes
+        raise ResourceError(f"band start Q = {Q}: one residue mask of Q^d = {Q**d} bytes "
+                            f"exceeds guard {BITMAP_GUARD}")
     band = primes_in_band(Q, 2 * Q)
     admissible = [q for q in band.primes if k % q != 0]
     dropped = sorted(set(band.primes) - set(admissible))
@@ -122,6 +122,13 @@ def build_divergence_set(
     for q, mask in x.good_by_q.items():
         good_set_for(poly, q, c, k, out=mask)
     return x
+
+
+def _check_constants(c: float, rho: float) -> None:
+    if not 0 < c < 1:
+        raise InputError(f"threshold constant must be in (0,1), got {c}")
+    if not (math.isfinite(rho) and rho > 0):
+        raise InputError(f"radius constant must be finite and positive, got {rho}")
 
 
 def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes, polynomial) -> DivergenceSet:
@@ -314,17 +321,20 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
 
 def measure(
     x: DivergenceSet,
-    method: str = "exact",
+    method: str | None = None,
     samples: int = 200_000,
     seed=0,
 ) -> MeasureResult:
     """Lebesgue measure of the ball union, with distribution-free bounds.
 
-    d = 1: exact by sorted interval merge on the circle. d >= 2: Monte
-    Carlo hit fraction with binomial standard error. Every result also
-    carries the disjoint-sum upper bound J*(2rho/N)^d and the
+    "exact" (d = 1 only): sorted interval merge on the circle.
+    "montecarlo": hit fraction with binomial standard error. None, the
+    default, takes "exact" for d = 1 and "montecarlo" otherwise. Every
+    result also carries the disjoint-sum upper bound J*(2rho/N)^d and the
     Cauchy-Schwarz lower bound J^2*(2rho/N)^d / (ordered overlap count).
     """
+    if method is None:
+        method = "exact" if x.d == 1 else "montecarlo"
     if method == "exact":
         if x.d != 1:
             raise InputError(f"exact measure supports d = 1 only, got d = {x.d}")
@@ -384,10 +394,7 @@ def from_balls(
     """
     if N < 1 or d < 1:
         raise InputError(f"need N >= 1 and d >= 1, got N = {N}, d = {d}")
-    if not (math.isfinite(rho) and rho > 0):
-        raise InputError(f"radius constant must be finite and positive, got {rho}")
-    if not 0 < c < 1:
-        raise InputError(f"threshold constant must be in (0,1), got {c}")
+    _check_constants(c, rho)
     if polynomial is not None and polynomial.dim != d:
         raise InputError(f"polynomial dimension {polynomial.dim} does not match d = {d}")
     if not isinstance(balls, np.ndarray):

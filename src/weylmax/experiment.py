@@ -27,7 +27,7 @@ from .decomp import fold_axis  # noqa: F401 -- unused; perfbench/test_perfbench.
 from .divset import DivergenceSet, build_divergence_set, measure
 from .errors import InputError, InvariantError, ResourceError
 from .poly import IntPolynomial
-from .weyl import axis_tables, phase_residues, roots_of_unity
+from .weyl import axis_tables, phase_index, roots_of_unity
 
 CSV_COLUMNS = ["N", "Q", "J", "measure", "measure_err", "sup_lb", "hs_norm", "ratio", "wall_ms"]
 
@@ -48,8 +48,7 @@ class ScanResult:
     witness_q: int
     witness_b: tuple[int, ...]
     witness_delta: tuple[float, ...]
-    max_value: float
-    quantiles: dict[str, float]
+    values: tuple[float, ...]  # per sampled ball, in canonical draw order
     n_sampled: int
 
 
@@ -121,54 +120,36 @@ def _axis_values(
 
 
 def _shifted_values(
-    mom: np.ndarray, pg: np.ndarray, rows: np.ndarray, deltas: np.ndarray, N: int,
-    centre: bool = False,
+    mom: np.ndarray, pg: np.ndarray, rows: np.ndarray, deltas: np.ndarray, N: int
 ) -> np.ndarray:
-    """|sum_r prod_i Z_i(r_i) e((b.r + P(r))/q)| for each ball of one prime,
-    with the perturbed axis folds Z_i = sum_j c_j(delta_i) M[j] and exact
-    integer-reduced phases for b.r, contracted against the full phase
-    grid pg.
-
-    With centre, the values at delta = 0 come too, as row 0 of a (2, m)
-    result whose row 1 holds those at deltas: their axis factors M[0]
-    e(b_i r/q) share each axis's phase gather with the perturbed ones
-    and run in the same contraction.
+    """(2, m) array of |sum_r prod_i Z_i(r_i) e((b.r + P(r))/q)| for the m
+    balls of one prime, with exact integer-reduced phases for b.r,
+    contracted against the full phase grid pg: row 0 at delta = 0 (axis
+    folds Z_i = M[0]), row 1 at deltas (perturbed axis folds Z_i =
+    sum_j c_j(delta_i) M[j]). Both rows share each axis's phase gather
+    and run in one contraction.
     """
     q = mom.shape[1]
     d = rows.shape[1]
     roots = roots_of_unity(q)
     r = np.arange(q, dtype=np.int64)
-    halves = 2 if centre else 1
-    out = np.empty((halves, len(rows)))
-    step = max(1, _CONTRACT_ENTRIES // (halves * q ** (d - 1)))
+    out = np.empty((2, len(rows)))
+    step = max(1, _CONTRACT_ENTRIES // (2 * q ** (d - 1)))
     for lo in range(0, len(rows), step):
         sl = slice(lo, lo + step)
         m = len(rows[sl])
         axes = []
         for i in range(d):
             phases = roots[np.multiply.outer(rows[sl, i], r) % q]
-            z = np.empty((halves * m, q), dtype=complex)
-            if centre:
-                np.multiply(mom[0], phases, out=z[:m])
-            np.multiply(_taylor_coeffs(deltas[sl, i], N) @ mom, phases, out=z[-m:])
+            z = np.empty((2 * m, q), dtype=complex)
+            np.multiply(mom[0], phases, out=z[:m])
+            np.multiply(_taylor_coeffs(deltas[sl, i], N) @ mom, phases, out=z[m:])
             axes.append(z)
         acc = axes[0] @ pg.reshape(q, -1)
         for z in axes[1:]:
             acc = np.einsum("mr,mrk->mk", z, acc.reshape(len(z), q, -1))
-        out[:, sl] = np.abs(acc[:, 0]).reshape(halves, -1)
-    return out if centre else out[0]
-
-
-def _quartiles(values: np.ndarray) -> np.ndarray:
-    """Min, quartiles and max of values, from one sort with the linear
-    interpolation of np.quantile's default method (np.quantile itself
-    imports numpy.ma on first use)."""
-    v = np.sort(values)
-    pos = np.array([0.0, 0.25, 0.5, 0.75, 1.0]) * (len(v) - 1)
-    lo = np.floor(pos).astype(np.int64)
-    t = pos - lo
-    a, b = v[lo], v[np.minimum(lo + 1, len(v) - 1)]
-    return np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)
+        out[:, sl] = np.abs(acc[:, 0]).reshape(2, -1)
+    return out
 
 
 def solution_scan(
@@ -182,8 +163,9 @@ def solution_scan(
 
     Every sampled ball is evaluated at delta = 0 and at one random delta
     in the budget box; the per-ball value is the smaller of the two. The
-    reported sup_lb is the minimum over sampled balls, a lower bound for
-    the maximal function at each sampled point.
+    per-ball values come back in canonical draw order (primes ascending,
+    residues lex), and sup_lb, their minimum, is a lower bound for the
+    maximal function at each sampled point.
 
     Per prime, the K Taylor moments M[j] of the folded coefficients are
     computed once; a perturbed axis fold is sum_j (2 pi i delta_i N)^j /
@@ -217,8 +199,8 @@ def solution_scan(
         mom = _moments(f, q)
         tables = axis_tables(poly, q, mom)
         if tables is None:
-            pg = roots_of_unity(q)[phase_residues(poly, q)]
-            factors = [_shifted_values(mom, pg, rows, deltas[pos], f.N, centre=True)]
+            pg = roots_of_unity(q)[phase_index(poly, (), q)]
+            factors = [_shifted_values(mom, pg, rows, deltas[pos], f.N)]
         else:
             factors = [_axis_values(u, rows[:, i], deltas[pos, i], f.N) for i, u in enumerate(tables)]
         for center, shifted in factors:
@@ -240,14 +222,12 @@ def solution_scan(
     imin = int(np.argmin(values))
     q_min, *b_min = table[imin].tolist()
     delta_min = (0.0,) * f.d if center_vals[imin] <= shifted_vals[imin] else tuple(deltas[imin])
-    qs = _quartiles(values)
     return ScanResult(
-        sup_lb=float(values.min()),
+        sup_lb=float(values[imin]),
         witness_q=q_min,
         witness_b=tuple(b_min),
         witness_delta=delta_min,
-        max_value=float(values.max()),
-        quantiles={"min": qs[0], "q25": qs[1], "median": qs[2], "q75": qs[3], "max": qs[4]},
+        values=tuple(values.tolist()),
         n_sampled=n_chosen,
     )
 
@@ -261,8 +241,9 @@ def ratio_experiment(
     """One ExperimentRow per ladder scale N.
 
     A row whose pipeline trips a resource guard is marked failed and the
-    ladder continues. For d >= 2 the ratio uses the Monte Carlo measure
-    minus two standard errors as a conservative lower bound.
+    ladder continues. The ratio uses the measure minus two standard
+    errors as a conservative lower bound (the exact d = 1 measure has
+    none).
     """
     config = config or ExperimentConfig()
     ladder = [int(n) for n in n_ladder]
@@ -285,12 +266,8 @@ def ratio_experiment(
             f = datum_coefficients(n, d)
             x = build_divergence_set(poly, n, config.c, config.rho)
             scan = solution_scan(poly, f, x, config.sample_budget, config.seed)
-            if d == 1:
-                m = measure(x, "exact")
-                usable = m.estimate
-            else:
-                m = measure(x, "montecarlo", config.mc_samples, config.seed)
-                usable = max(m.estimate - 2.0 * m.error, 0.0)
+            m = measure(x, samples=config.mc_samples, seed=config.seed)
+            usable = max(m.estimate - 2.0 * m.error, 0.0)
             hs = math.sqrt(sobolev_norm_sq(f, s))
             ratio = scan.sup_lb * math.sqrt(usable) / hs
             rows.append(ExperimentRow(

@@ -183,18 +183,6 @@ def lattice_pair_count(q: int, qp: int, bound: float) -> int:
     return sum(1 for _ in _line_points(q, qp, lines, 1))
 
 
-def lattice_pair_count_bruteforce(q: int, qp: int, bound: float) -> int:
-    """Exhaustive O(q*qp) reference count for lattice_pair_count."""
-    if q < 1 or qp < 1:
-        raise InputError(f"moduli must be positive, got ({q}, {qp})")
-    if not (math.isfinite(bound) and bound >= 0):
-        raise InputError(f"bound must be finite and non-negative, got {bound}")
-    b = np.arange(1, q + 1, dtype=np.int64)[:, None]
-    bp = np.arange(1, qp + 1, dtype=np.int64)[None, :]
-    s = np.abs(b * qp - bp * q)
-    return int(np.count_nonzero((s > 0) & (s <= bound)))
-
-
 def close_fraction_pairs(q: int, qp: int, bound: float) -> list[tuple[int, int]]:
     """Residue pairs (b, b') in [0,q) x [0,qp) whose fractions b/q and
     b'/qp are within bound/(q*qp) of each other on the circle.

@@ -1,7 +1,8 @@
 """Integer multivariate polynomial symbols.
 
 A symbol is stored as a map from exponent vectors to non-zero integer
-coefficients. Only evaluation and the built-in families are provided;
+coefficients. Only the axis split, the built-in families and the JSON
+form are provided;
 there is deliberately no general polynomial arithmetic here.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import InputError
 
@@ -41,25 +42,6 @@ class IntPolynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def homogeneous_part(self) -> "IntPolynomial":
-        """The sub-polynomial of terms of maximal total degree."""
-        if not self.terms:
-            raise InputError("empty polynomial has no homogeneous part")
-        k = self.degree()
-        return IntPolynomial(self.dim, {e: c for e, c in self.terms.items() if sum(e) == k})
-
-    def evaluate(self, n: Sequence[int]) -> int:
-        """Exact integer value at an integer point."""
-        n = tuple(int(v) for v in n)
-        if len(n) != self.dim:
-            raise InputError(f"point has {len(n)} coordinates, expected {self.dim}")
-        total = 0
-        for expo, coeff in self.terms.items():
-            t = coeff
-            for x, e in zip(n, expo):
-                t *= x**e
-            total += t
-        return total
 
 
 def axis_parts(poly: IntPolynomial) -> tuple[IntPolynomial, ...] | None:

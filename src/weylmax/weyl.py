@@ -1,8 +1,10 @@
 """Complete exponential sums S(b) = sum_r e((P(r) + b.r)/q) over F_q^d.
 
 Tables are built either by exact-phase direct contraction or by FFT;
-the two paths must agree, and every table is checked against the
-Parseval identity sum_b |S(b)|^2 = q^(2d) before it is returned.
+the two paths must agree. A table is the outer product of its factors
+(one per axis for a symbol with no mixed monomial), and every factor is
+checked against its Parseval identity sum |S_i|^2 = q^(2 ndim) before
+it is used.
 """
 
 from __future__ import annotations
@@ -70,19 +72,15 @@ def _open_grid(q: int, d: int) -> tuple[np.ndarray, ...]:
     return tuple(r.reshape((1,) * i + (q,) + (1,) * (d - 1 - i)) for i in range(d))
 
 
-def phase_residues(poly: IntPolynomial, q: int) -> np.ndarray:
-    """P(r) mod q on the full residue grid, shape (q,)*d."""
-    return eval_poly_mod_grid(poly, _open_grid(q, poly.dim), q)
-
-
 def phase_index(
     poly: IntPolynomial, b, q: int, comps: tuple[np.ndarray, ...] | None = None
 ) -> np.ndarray:
     """(P(r) + b.r) mod q over broadcastable int64 coordinate arrays.
 
-    comps defaults to the full residue grid, shape (q,)*d. All arithmetic
-    is in integers (residue products stay below 2^62), so the result is
-    exact and roots_of_unity(q)[result] gives every phase e(./q).
+    comps defaults to the full residue grid, shape (q,)*d, and b = ()
+    gives P(r) mod q alone. All arithmetic is in integers (residue
+    products stay below 2^62), so the result is exact and
+    roots_of_unity(q)[result] gives every phase e(./q).
     """
     if comps is None:
         comps = _open_grid(q, poly.dim)
@@ -107,7 +105,7 @@ def transform(poly: IntPolynomial, q: int, weights: np.ndarray | None = None) ->
     """q^d * ifftn, over the last d axes, of weights * e(P(r)/q), the
     product (or the bare phase grid) transformed in place."""
     d = poly.dim
-    values = roots_of_unity(q)[phase_residues(poly, q)]
+    values = roots_of_unity(q)[phase_index(poly, (), q)]
     if weights is not None:
         values = weights * values
     values = np.fft.ifftn(values, axes=tuple(range(-d, 0)), out=values)
@@ -149,40 +147,46 @@ def _check_modulus(q: int, d: int) -> None:
         raise ResourceError(f"table of q^d = {q**d} entries exceeds guard {TABLE_GUARD}")
 
 
-def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
-    """All S(b), b in F_q^d.
+def _factors(poly: IntPolynomial, q: int, method: str = "dft") -> list[np.ndarray]:
+    """Tables whose outer product is the Weyl table of poly at q, each
+    checked against Parseval (sum |S_i|^2 = q^(2 ndim), the factors of
+    the full identity).
 
-    The default path is transform(poly, q), the d-dimensional inverse
-    FFT of the grid r -> e(P(r)/q) scaled by q^d so entries match
-    weyl_sum_direct. When no monomial mixes variables, e(P(r)/q) factors
-    over the axes and the table is the outer product of axis_tables(poly,
-    q), one length-q transform per distinct part. The "direct" path is
-    the exact-phase contraction of the full grid, used as an oracle.
+    "dft": axis_tables(poly, q), one length-q transform per axis, when
+    no monomial mixes variables (e(P(r)/q) then factors over the axes);
+    otherwise the one transform(poly, q) of the full grid. "direct": the
+    exact-phase contraction of the full grid, used as an oracle.
     """
-    d = poly.dim
-    _check_modulus(q, d)
+    _check_modulus(q, poly.dim)
     if method == "dft":
-        tables = axis_tables(poly, q)
-        values = transform(poly, q) if tables is None else reduce(np.multiply.outer, tables)
+        factors = axis_tables(poly, q) or [transform(poly, q)]
     elif method == "direct":
-        values = _table_direct(roots_of_unity(q)[phase_residues(poly, q)], q)
+        factors = [_table_direct(roots_of_unity(q)[phase_index(poly, (), q)], q)]
     else:
         raise InputError(f"unknown build method {method!r}")
-    table = WeylTable(q=q, d=d, values=values, build_method=method)
-    _check_parseval(parseval_defect(table), q, d)
-    return table
+    for f in factors:
+        defect = _parseval_defect(f, q)
+        if not defect <= PARSEVAL_TOL:
+            raise InvariantError(
+                f"Parseval defect {defect:.3e} above {PARSEVAL_TOL} for q={q}, d={f.ndim}")
+    return factors
 
 
-def _check_parseval(defect: float, q: int, d: int) -> None:
-    if not defect <= PARSEVAL_TOL:
-        raise InvariantError(f"Parseval defect {defect:.3e} above {PARSEVAL_TOL} for q={q}, d={d}")
+def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
+    """All S(b), b in F_q^d: the outer product of _factors(poly, q,
+    method), whose entries match weyl_sum_direct."""
+    values = reduce(np.multiply.outer, _factors(poly, q, method))
+    return WeylTable(q=q, d=poly.dim, values=values, build_method=method)
+
+
+def _parseval_defect(values: np.ndarray, q: int) -> float:
+    target = float(q) ** (2 * values.ndim)
+    return abs(float(np.sum(np.abs(values) ** 2)) - target) / target
 
 
 def parseval_defect(table: WeylTable) -> float:
     """Relative deviation of sum_b |S(b)|^2 from q^(2d)."""
-    target = float(table.q) ** (2 * table.d)
-    total = float(np.sum(np.abs(table.values) ** 2))
-    return abs(total - target) / target
+    return _parseval_defect(table.values, table.q)
 
 
 def _degree_report(max_mod: float, q: int, d: int, k: int) -> DeligneReport:
@@ -251,21 +255,10 @@ def good_set_for(
     """Good set of q for the symbol poly, its mask written into out
     (a C-order bool array of shape (q,)*d) when one is given.
 
-    A mixed symbol is thresholded on its full Weyl table, as by
-    good_set. A symbol with no mixed monomial builds no q^d complex
-    table: |S(b)| = prod_i |S_i(b_i)| for the d one-dimensional
-    transforms of weyl.axis_tables, so the mask is the outer product of
-    the axis moduli thresholded at c q^(d/2). Parseval is checked on
-    every axis (sum |S_i|^2 = q^2, the factors of the full identity), the
-    degree report takes the product of the per-axis maxima, and the
-    density floor is that of good_set.
+    |S(b)| is the outer product of the moduli of the Weyl table's
+    factors, so a symbol with no mixed monomial builds no q^d complex
+    table: its mask is the outer product of the d axis moduli
+    thresholded at c q^(d/2), and its degree report takes the product of
+    the per-axis maxima. The density floor is that of good_set.
     """
-    d = poly.dim
-    _check_modulus(q, d)
-    tables = axis_tables(poly, q)
-    if tables is None:
-        return _good_set(q, d, c, k, [np.abs(weyl_table(poly, q).values)], out)
-    moduli = [np.abs(t) for t in tables]
-    for m in moduli:
-        _check_parseval(abs(float(np.sum(m * m)) - float(q) ** 2) / float(q) ** 2, q, 1)
-    return _good_set(q, d, c, k, moduli, out)
+    return _good_set(q, poly.dim, c, k, [np.abs(f) for f in _factors(poly, q)], out)

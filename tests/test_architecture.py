@@ -1,8 +1,12 @@
-"""Layering: only divset reads the ball layout of a divergence set.
+"""Layering: each decision has one home.
 
-Every other module gets balls through ``DivergenceSet.balls``; the
-bitmap, its per-prime views and the per-prime decoders stay private to
-the module that builds them.
+- Only divset reads the ball layout of a divergence set. Every other
+  module gets balls through ``DivergenceSet.balls``; the bitmap, its
+  per-prime views and the per-prime decoders stay private to the module
+  that builds them.
+- Only weyl splits a symbol into its axis parts (``weyl.axis_tables``).
+- Only ``divset.measure`` picks a measure method: no call passes one
+  as a literal.
 """
 
 import ast
@@ -11,18 +15,62 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "weylmax"
 LAYOUT = {"good_by_q", "bits"}
 DECODERS = {"rows", "ball_list"}
+AXIS_SPLIT = {"axis_parts", "distinct_parts"}
+
+
+def _nodes(path):
+    return ast.walk(ast.parse(path.read_text(), str(path)))
+
+
+def _called_name(node):
+    """The name a call is made through, bare or as an attribute."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Attribute):
+            return node.func.attr
+        if isinstance(node.func, ast.Name):
+            return node.func.id
+    return None
 
 
 def _layout_uses(path):
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in _nodes(path):
         if isinstance(node, ast.Attribute) and node.attr in LAYOUT:
             yield f"{path.name}:{node.lineno} reads .{node.attr}"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in DECODERS:
             yield f"{path.name}:{node.lineno} calls .{node.func.attr}()"
 
 
+def _axis_split_calls(path):
+    for node in _nodes(path):
+        if _called_name(node) in AXIS_SPLIT:
+            yield f"{path.name}:{node.lineno} calls {_called_name(node)}()"
+
+
+def _literal_measure_methods(path):
+    for node in _nodes(path):
+        if _called_name(node) != "measure":
+            continue
+        method = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "method"]
+        if any(isinstance(arg, ast.Constant) and arg.value is not None for arg in method):
+            yield f"{path.name}:{node.lineno} passes a measure method literal"
+
+
+def _uses_outside(owner, uses):
+    assert list(uses(SRC / owner))  # the scan sees the owner's own uses
+    return [use for path in sorted(SRC.glob("*.py")) if path.name != owner for use in uses(path)]
+
+
 def test_only_divset_reads_the_ball_layout():
-    assert list(_layout_uses(SRC / "divset.py"))  # the scan sees the owner's own uses
-    leaks = [use for path in sorted(SRC.glob("*.py")) if path.name != "divset.py"
-             for use in _layout_uses(path)]
-    assert leaks == []
+    assert _uses_outside("divset.py", _layout_uses) == []
+
+
+def test_only_weyl_splits_symbols_into_axis_parts():
+    assert _uses_outside("weyl.py", _axis_split_calls) == []
+
+
+def test_no_src_call_picks_a_measure_method(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('divset.measure(x, "exact")\nmeasure(x, method="montecarlo")\nmeasure(x, None)\n')
+    assert len(list(_literal_measure_methods(probe))) == 2
+    found = [use for path in sorted(SRC.glob("*.py")) for use in _literal_measure_methods(path)]
+    assert found == []

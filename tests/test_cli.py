@@ -246,6 +246,28 @@ def test_resource_guard_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["build-xn", "--poly", P_SQ, "--n", str(10**24)], id="build-xn-d1"),
+    pytest.param(["build-xn", "--poly", '{"d":2,"terms":[{"e":[2,0],"c":1},{"e":[0,2],"c":1}]}',
+                  "--n", str(10**24)], id="build-xn-d2"),
+    pytest.param(["solution-eval", "--poly", P_SQ, "--n", str(10**15), "--q", "17", "--b", "3"],
+                 id="solution-eval"),
+    pytest.param(["decompose", "--poly", P_SQ, "--n", str(10**15), "--q", "17", "--b", "3"],
+                 id="decompose"),
+])
+def test_oversized_n_exit_3(capsys, argv):
+    code, out, err = run_err(capsys, *argv)
+    assert code == 3 and out == "" and "guard" in err
+
+
+def test_oversized_q_exit_3(capsys):
+    # roots_of_unity(q) would hold q = 2^43 complex entries (128 TiB)
+    code, out, err = run_err(capsys, "solution-eval", "--poly", P_SQ, "--n", "256",
+                             "--q", str(2**43), "--b", "3")
+    assert code == 3 and out == "" and "guard" in err
+    assert run(capsys, "solution-eval", "--poly", P_SQ, "--n", "256", "--q", "17", "--b", "3")[0] == 0
+
+
 def test_missing_poly_exit_2(capsys):
     code, _ = run(capsys, "verify-deligne", "--q", "7")
     assert code == 2

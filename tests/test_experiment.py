@@ -104,29 +104,24 @@ def test_scan_lower_bound_strength():
             split = main_error_split(P_SQ, f, RationalPoint((b,), q, (0.0,)), table)
             value = abs(split.main) - abs(split.error)
             floor = value if floor is None else min(floor, value)
-    assert scan.max_value >= scan.sup_lb >= 0.9 * floor
+    assert max(scan.values) >= scan.sup_lb >= 0.9 * floor
     assert scan.sup_lb >= 0.1 * n / math.sqrt(2 * x.Q)
 
 
 def test_scan_quantiles_ordered():
+    # one value per sampled ball, sup_lb their minimum, whole results
+    # comparable with ==
     f = datum_coefficients(1024, 1)
     x = build_divergence_set(P_SQ, 1024)
     scan = solution_scan(P_SQ, f, x, sample_budget=300, seed=11)
-    qs = scan.quantiles
-    assert qs["min"] <= qs["q25"] <= qs["median"] <= qs["q75"] <= qs["max"]
-    assert qs["min"] == scan.sup_lb and qs["max"] == scan.max_value
-
-
-def test_scan_quartiles_match_np_quantile():
-    import numpy as np
-
-    from weylmax.experiment import _quartiles
-
-    rng = np.random.default_rng(3)
-    for size in (1, 2, 3, 4, 5, 8, 101, 1500):
-        values = rng.lognormal(8.0, 1.0, size)
-        want = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert np.allclose(_quartiles(values), want, rtol=1e-12, atol=0.0)
+    assert isinstance(scan.values, tuple) and len(scan.values) == scan.n_sampled == 300
+    assert all(math.isfinite(v) and v >= scan.sup_lb > 0 for v in scan.values)
+    assert min(scan.values) == scan.sup_lb
+    assert scan == solution_scan(P_SQ, f, x, sample_budget=300, seed=11)
+    # canonical draw order: with every ball drawn, values follow x.balls()
+    full = solution_scan(P_SQ, f, x, sample_budget=x.ball_count, seed=11)
+    witness = x.balls().tolist().index([full.witness_q, *full.witness_b])
+    assert full.values[witness] == full.sup_lb
 
 
 def test_ratio_experiment_leaves_numpy_ma_unimported():
@@ -181,8 +176,8 @@ def test_split_scan_matches_general_path(monkeypatch, p, n):
     general = solution_scan(p, f, x, sample_budget=400, seed=3)
     rel = lambda a, b: abs(a - b) / abs(b)
     assert rel(split.sup_lb, general.sup_lb) < 1e-12
-    assert rel(split.max_value, general.max_value) < 1e-12
-    assert all(rel(split.quantiles[key], general.quantiles[key]) < 1e-12 for key in general.quantiles)
+    assert len(split.values) == len(general.values) == 400
+    assert all(rel(a, b) < 1e-12 for a, b in zip(split.values, general.values))
     assert (split.witness_q, split.witness_b) == (general.witness_q, general.witness_b)
     assert split.witness_delta == general.witness_delta
     assert split.n_sampled == general.n_sampled == 400
@@ -234,6 +229,13 @@ def test_ratio_positive_small_d1_ladder():
         assert r.ratio <= l1 / r.hs_norm
 
 
+def test_oversized_scale_marks_row_failed_and_continues():
+    # the datum axis (about 1.75 N entries) is refused before allocating
+    rows = ratio_experiment(P_SQ, 0.0, [256, 10**20, 10**24], ExperimentConfig(sample_budget=10))
+    assert [r.failed for r in rows] == [False, True, True]
+    assert all("guard" in r.fail_reason for r in rows[1:])
+
+
 def test_resource_guard_marks_row_failed_and_continues():
     p3 = family_diagonal(3, 2)
     rows = ratio_experiment(p3, 0.0, [4100, 8192], ExperimentConfig(sample_budget=10))
@@ -264,7 +266,7 @@ def test_scan_shifted_values_match_exact_refold(p, n):
 
     from weylmax import experiment
     from weylmax.decomp import fold, folded_eval
-    from weylmax.weyl import axis_tables, phase_residues, roots_of_unity
+    from weylmax.weyl import axis_tables, phase_index, roots_of_unity
 
     d = p.dim
     f = datum_coefficients(n, d)
@@ -281,8 +283,8 @@ def test_scan_shifted_values_match_exact_refold(p, n):
             tables = axis_tables(p, q, mom)[0]
             got = experiment._axis_values(tables, rows[:, 0], deltas[:, 0], n)[1]
         else:
-            pg = roots_of_unity(q)[phase_residues(p, q)]
-            got = experiment._shifted_values(mom, pg, rows, deltas, n)
+            pg = roots_of_unity(q)[phase_index(p, (), q)]
+            got = experiment._shifted_values(mom, pg, rows, deltas, n)[1]
         for row, delta, val in zip(rows, deltas, got):
             exact = abs(folded_eval(fold(f, q, delta), p, row))
             worst = max(worst, abs(val - exact) / exact)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +12,21 @@ from weylmax.numtheory import (
     eval_poly_mod_grid,
     is_prime,
     lattice_pair_count,
-    lattice_pair_count_bruteforce,
     primes_in_band,
 )
 from weylmax.poly import IntPolynomial, family_diagonal, family_power_laplacian
+
+
+def lattice_pair_count_bruteforce(q: int, qp: int, bound: float) -> int:
+    """Exhaustive O(q*qp) reference count for lattice_pair_count."""
+    if q < 1 or qp < 1:
+        raise InputError(f"moduli must be positive, got ({q}, {qp})")
+    if not (math.isfinite(bound) and bound >= 0):
+        raise InputError(f"bound must be finite and non-negative, got {bound}")
+    b = np.arange(1, q + 1, dtype=np.int64)[:, None]
+    bp = np.arange(1, qp + 1, dtype=np.int64)[None, :]
+    s = np.abs(b * qp - bp * q)
+    return int(np.count_nonzero((s > 0) & (s <= bound)))
 
 
 def test_primes_small_band():
