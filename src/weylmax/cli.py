@@ -171,10 +171,10 @@ def cmd_verify_deligne(args) -> int:
 
 def cmd_good_set(args) -> int:
     p = _load_poly(args)
-    gs = weyl.good_set_for(p, args.q, args.c, p.degree())
+    gs = weyl.good_set_for(p, args.q, args.c)
     obj = {
         "config": _config(args, p), "q": args.q, "d": p.dim, "k": p.degree(),
-        "c": args.c, "threshold": gs.threshold, "count": int(gs.members.shape[0]),
+        "c": args.c, "threshold": gs.threshold, "count": int(np.count_nonzero(gs.mask)),
         "density": gs.density,
     }
     if args.out:
@@ -339,7 +339,7 @@ def _selftest_checks():
         return weyl.parseval_defect(weyl.weyl_table(p_sq, 5)) < 1e-12
 
     def good_set_q13():
-        gs = weyl.good_set(weyl.weyl_table(p_sq, 13), 0.5, 2)
+        gs = weyl.good_set(weyl.weyl_table(p_sq, 13), 0.5)
         return gs.density == 1.0
 
     def laplacian_constant():

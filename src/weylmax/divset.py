@@ -49,10 +49,6 @@ class DivergenceSet:
     def _counts(self) -> list[int]:
         return [int(np.count_nonzero(self.good_by_q[q])) for q in self.primes]
 
-    def rows(self, q: int) -> np.ndarray:
-        """(m, d) residues of the balls of q, in lex order."""
-        return np.argwhere(self.good_by_q[q])
-
     def balls(self, at: np.ndarray | None = None) -> np.ndarray:
         """(m, 1 + d) int64 rows ``q, b_0 .. b_{d-1}`` of the balls at the
         ascending canonical positions ``at`` (primes ascending, residues
@@ -120,7 +116,7 @@ def build_divergence_set(
         raise InputError(f"no admissible prime in [{Q}, {2*Q}) for degree {k}")
     x = _empty_set(N, d, rho, c, Q, admissible, poly)
     for q, mask in x.good_by_q.items():
-        good_set_for(poly, q, c, k, out=mask)
+        good_set_for(poly, q, c, out=mask)
     return x
 
 

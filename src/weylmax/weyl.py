@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -28,8 +28,14 @@ PARSEVAL_TOL = 1e-9
 class WeylTable:
     q: int
     d: int
-    values: np.ndarray  # shape (q,)*d, complex128
+    factors: list[np.ndarray]  # complex128, one (q,) per axis or one (q,)*d
     build_method: str
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """All S(b), shape (q,)*d: the outer product of the factors (the
+        one factor itself when there is only one)."""
+        return reduce(np.multiply.outer, self.factors)
 
     def __getitem__(self, b) -> complex:
         return complex(self.values[tuple(int(v) % self.q for v in b)])
@@ -147,10 +153,10 @@ def _check_modulus(q: int, d: int) -> None:
         raise ResourceError(f"table of q^d = {q**d} entries exceeds guard {TABLE_GUARD}")
 
 
-def _factors(poly: IntPolynomial, q: int, method: str = "dft") -> list[np.ndarray]:
-    """Tables whose outer product is the Weyl table of poly at q, each
-    checked against Parseval (sum |S_i|^2 = q^(2 ndim), the factors of
-    the full identity).
+def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
+    """All S(b), b in F_q^d, as factors whose outer product matches
+    weyl_sum_direct, each checked against Parseval (sum |S_i|^2 =
+    q^(2 ndim), the factors of the full identity).
 
     "dft": axis_tables(poly, q), one length-q transform per axis, when
     no monomial mixes variables (e(P(r)/q) then factors over the axes);
@@ -169,14 +175,7 @@ def _factors(poly: IntPolynomial, q: int, method: str = "dft") -> list[np.ndarra
         if not defect <= PARSEVAL_TOL:
             raise InvariantError(
                 f"Parseval defect {defect:.3e} above {PARSEVAL_TOL} for q={q}, d={f.ndim}")
-    return factors
-
-
-def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
-    """All S(b), b in F_q^d: the outer product of _factors(poly, q,
-    method), whose entries match weyl_sum_direct."""
-    values = reduce(np.multiply.outer, _factors(poly, q, method))
-    return WeylTable(q=q, d=poly.dim, values=values, build_method=method)
+    return WeylTable(q=q, d=poly.dim, factors=factors, build_method=method)
 
 
 def _parseval_defect(values: np.ndarray, q: int) -> float:
@@ -211,54 +210,36 @@ def deligne_check(table: WeylTable, k: int) -> DeligneReport:
     return _degree_report(float(np.abs(table.values).max()), table.q, table.d, k)
 
 
-def _good_set(
-    q: int, d: int, c: float, k: int, moduli: list[np.ndarray], out: np.ndarray | None = None
-) -> GoodSet:
-    """The good set whose |S| is the outer product of the arrays in
-    moduli (one full table, or one array per axis), its mask written
-    into out when one is given, and its density checked against the
-    Parseval floor that the degree report of max |S| allows."""
+def good_set(table: WeylTable, c: float, out: np.ndarray | None = None) -> GoodSet:
+    """Residues b with |S(b)| >= c * q^(d/2), as a mask over F_q^d
+    written into out (a C-order bool array of shape (q,)*d) when one is
+    given.
+
+    |S| is the outer product of the moduli of the table's factors, so a
+    split table builds no q^d complex array. Parseval (sum |S|^2 = q^(2d))
+    bounds the density below by (1-c^2) q^d / max|S|^2, with max|S| the
+    product of the factor maxima; every set is checked against it.
+    """
     if not 0 < c < 1:
         raise InputError(f"threshold constant must be in (0,1), got {c}")
+    q, d = table.q, table.d
+    moduli = [np.abs(f) for f in table.factors]
     threshold = c * float(q) ** (d / 2)
     mask = np.greater_equal(reduce(np.multiply.outer, moduli), threshold, out=out)
-    report = _degree_report(math.prod(float(m.max()) for m in moduli), q, d, k)
     density = np.count_nonzero(mask) / float(q) ** d
-    floor = None
-    if report.ok:
-        floor = (1 - c * c) / (k - 1) ** 2
-    elif report.classical_ok:
-        floor = (1 - c * c) / (k - 1) ** (2 * d)
-    if floor is not None and density < floor * (1 - 1e-9):
-        which = "per-degree" if report.ok else "classical"
+    max_mod = math.prod(float(m.max()) for m in moduli)
+    floor = (1 - c * c) * float(q) ** d
+    if not density * max_mod**2 >= floor * (1 - 1e-9):
         raise InvariantError(
-            f"good-set density {density:.6f} below guaranteed {floor:.6f} "
-            f"for q={q}, d={d}, c={c} despite the {which} max-modulus bound holding"
-        )
+            f"good-set density {density:.6f} times max|S|^2 = {max_mod**2:.6g} below the "
+            f"Parseval floor (1-c^2) q^d = {floor:.6g} for q={q}, d={d}, c={c}")
     return GoodSet(q=q, d=d, c=c, threshold=threshold, mask=mask, density=density)
 
 
-def good_set(table: WeylTable, c: float, k: int) -> GoodSet:
-    """Residues b with |S(b)| >= c * q^(d/2), as a mask over F_q^d.
-
-    Parseval bounds the density below by (1-c^2) q^d / max|S|^2. When
-    the per-degree bound holds on the table the density is checked
-    against (1-c^2)/(k-1)^2; otherwise, when the classical bound holds,
-    against (1-c^2)/(k-1)^(2d). Tables above both bounds are not checked.
-    """
-    return _good_set(table.q, table.d, c, k, [np.abs(table.values)])
-
-
 def good_set_for(
-    poly: IntPolynomial, q: int, c: float, k: int, out: np.ndarray | None = None
+    poly: IntPolynomial, q: int, c: float, out: np.ndarray | None = None
 ) -> GoodSet:
-    """Good set of q for the symbol poly, its mask written into out
-    (a C-order bool array of shape (q,)*d) when one is given.
-
-    |S(b)| is the outer product of the moduli of the Weyl table's
-    factors, so a symbol with no mixed monomial builds no q^d complex
-    table: its mask is the outer product of the d axis moduli
-    thresholded at c q^(d/2), and its degree report takes the product of
-    the per-axis maxima. The density floor is that of good_set.
-    """
-    return _good_set(q, poly.dim, c, k, [np.abs(f) for f in _factors(poly, q)], out)
+    """good_set(weyl_table(poly, q), c, out) for a symbol of degree >= 2."""
+    if poly.degree() < 2:
+        raise InputError(f"symbol degree must be >= 2, got {poly.degree()}")
+    return good_set(weyl_table(poly, q), c, out)

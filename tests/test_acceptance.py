@@ -25,6 +25,8 @@ from weylmax.numtheory import lattice_pair_count, primes_in_band
 from weylmax.poly import IntPolynomial, family_diagonal, family_power_laplacian
 from weylmax.weyl import deligne_check, good_set, parseval_defect, weyl_table
 
+from sets import good_rows
+
 P_SQ = family_diagonal(1, 2)
 P_CUBE = family_diagonal(1, 3)
 P_QUARTIC = IntPolynomial(1, {(4,): 1, (1,): 1})
@@ -126,7 +128,7 @@ def test_04_good_set_density():
         for q in primes_in_band(5, qhi).primes:
             if q == 3:
                 continue
-            gs = good_set(weyl_table(p, q), 0.5, 3)
+            gs = good_set(weyl_table(p, q), 0.5)
             worst = min(worst, gs.density)
     floor = (1 - 0.25) / 4
     ok = report(4, "good-set-density", worst >= floor,
@@ -191,7 +193,7 @@ def test_07_error_domination():
         table = weyl_table(P_SQ, q)
         z = fold(f, q, (0.0,))
         zh0 = z.zhat0()
-        for b in x.rows(q)[:, 0]:
+        for b in good_rows(x, q)[:, 0]:
             m = zh0 * table.values[b]
             e = folded_eval(z, P_SQ, (b,)) - m
             worst = max(worst, abs(e) / abs(m))

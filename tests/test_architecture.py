@@ -4,7 +4,9 @@
   module gets balls through ``DivergenceSet.balls``; the bitmap, its
   per-prime views and the per-prime decoders stay private to the module
   that builds them.
-- Only weyl splits a symbol into its axis parts (``weyl.axis_tables``).
+- Only weyl splits a symbol into its axis parts (``weyl.axis_tables``)
+  and reads the factors of a Weyl table (``WeylTable.factors``); other
+  modules read ``values`` or go through ``good_set``.
 - Only ``divset.measure`` picks a measure method: no call passes one
   as a literal.
 """
@@ -46,6 +48,12 @@ def _axis_split_calls(path):
             yield f"{path.name}:{node.lineno} calls {_called_name(node)}()"
 
 
+def _factor_reads(path):
+    for node in _nodes(path):
+        if isinstance(node, ast.Attribute) and node.attr == "factors":
+            yield f"{path.name}:{node.lineno} reads .factors"
+
+
 def _literal_measure_methods(path):
     for node in _nodes(path):
         if _called_name(node) != "measure":
@@ -66,6 +74,10 @@ def test_only_divset_reads_the_ball_layout():
 
 def test_only_weyl_splits_symbols_into_axis_parts():
     assert _uses_outside("weyl.py", _axis_split_calls) == []
+
+
+def test_only_weyl_reads_table_factors():
+    assert _uses_outside("weyl.py", _factor_reads) == []
 
 
 def test_no_src_call_picks_a_measure_method(tmp_path):

@@ -15,6 +15,8 @@ from weylmax import cli, divset, weyl
 from weylmax.cli import COMMANDS, _int_csv, _read_xn, build_parser, dispatch
 from weylmax.poly import parse_polynomial
 
+from sets import good_rows
+
 P_SQ = '{"d":1,"terms":[{"e":[2],"c":1}]}'
 P_CUBE = '{"d":1,"terms":[{"e":[3],"c":1}]}'
 
@@ -205,7 +207,7 @@ def test_good_set_out_rows_match_members(capsys, tmp_path):
     assert code == 0
     head, _, body = path.read_bytes().decode().partition("\n")
     assert json.loads(head[2:])["q"] == 31
-    members = weyl.good_set_for(parse_polynomial(poly2), 31, 0.5, 3).members
+    members = weyl.good_set_for(parse_polynomial(poly2), 31, 0.5).members
     assert body == _csv_writer_text(["b0", "b1"], members)
     assert json.loads(out)["count"] == len(members)
 
@@ -238,6 +240,18 @@ def test_input_error_exit_2(capsys):
     assert code == 2
     code, _ = run(capsys, "good-set", "--poly", P_SQ, "--q", "13", "--c", "2.0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["good-set", "--q", "13"], id="good-set"),
+    pytest.param(["ratio-experiment", "--s", "0", "--n-ladder", "1024,2048,4096"], id="ratio-experiment"),
+    # every rung is refused by a resource guard before its set is built
+    pytest.param(["ratio-experiment", "--s", "0", "--n-ladder", f"{10**20},{10**24}"], id="ratio-oversized"),
+])
+def test_linear_symbol_exit_2(capsys, argv):
+    linear = '{"d":1,"terms":[{"e":[1],"c":1}]}'
+    code, out, err = run_err(capsys, *argv, "--poly", linear)
+    assert code == 2 and out == "" and "degree must be >= 2" in err
 
 
 def test_resource_guard_exit_3(capsys):
@@ -473,7 +487,7 @@ def test_build_xn_read_back_matches_built_set(capsys, tmp_path):
     assert (got.N, got.d, got.Q, got.rho, got.c) == (want.N, want.d, want.Q, want.rho, want.c)
     assert list(got.good_by_q) == list(want.good_by_q)
     for q in want.good_by_q:
-        assert np.array_equal(got.rows(q), want.rows(q))
+        assert np.array_equal(good_rows(got, q), good_rows(want, q))
     for x in (got, want):  # every mask is a view into the set's one bitmap
         assert all(np.shares_memory(mask, x.bits) for mask in x.good_by_q.values())
     assert got.bits.tobytes() == want.bits.tobytes()

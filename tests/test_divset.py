@@ -21,6 +21,8 @@ from weylmax.numtheory import lattice_pair_count
 from weylmax.poly import family_diagonal, family_power_laplacian
 from weylmax.weyl import weyl_sum_direct
 
+from sets import good_rows
+
 P_SQ = family_diagonal(1, 2)
 P_CUBE = family_diagonal(1, 3)
 
@@ -51,7 +53,7 @@ def test_build_n4096_band_and_count():
     assert x.primes == [67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127]
     assert x.ball_count == sum(x.primes) == 1219
     for q in x.primes:
-        assert x.rows(q).shape[0] == q
+        assert good_rows(x, q).shape[0] == q
 
 
 def test_build_ball_count_floor():
@@ -242,7 +244,7 @@ def _decoder_sets():
 
 @pytest.mark.parametrize("x", _decoder_sets(), ids=["d1", "d2", "d3", "empty"])
 def test_balls_stack_the_rows_of_each_prime(x):
-    blocks = [np.column_stack((np.full(len(x.rows(q)), q), x.rows(q))) for q in x.primes]
+    blocks = [np.column_stack((np.full(len(good_rows(x, q)), q), good_rows(x, q))) for q in x.primes]
     want = np.concatenate(blocks) if blocks else np.zeros((0, 1 + x.d), dtype=np.int64)
     got = x.balls()
     assert got.dtype == np.int64 and got.shape == (x.ball_count, 1 + x.d)
@@ -329,7 +331,7 @@ def test_revalidate_catches_bad_ball():
     good = build_divergence_set(P_CUBE, 1024)
     outside = None
     for q in good.primes:
-        members = {b for (b,) in map(tuple, good.rows(q))}
+        members = {b for (b,) in map(tuple, good_rows(good, q))}
         rest = sorted(set(range(q)) - members)
         if rest:
             outside = (q, rest[0])
@@ -394,7 +396,7 @@ def test_from_balls_array_matches_list():
     for x in (from_list, from_array):
         assert x.primes == [101, 103, 107]
         for q in x.primes:
-            assert list(map(tuple, x.rows(q).tolist())) == want[q]
+            assert list(map(tuple, good_rows(x, q).tolist())) == want[q]
     empty = from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=np.zeros((0, 3), dtype=np.int64))
     assert empty.ball_count == 0 and overlap_pair_count(empty) == 0
 
@@ -460,7 +462,7 @@ def test_overlap_matches_bruteforce_d2_built_window_large_radius():
 def _full_sweep_measure(x, samples, seed):
     """Oracle: the per-prime Monte Carlo test applied to every point."""
     radius = x.rho / x.N
-    codes = {q: np.sort(np.ravel_multi_index(tuple(x.rows(q).T), (q,) * x.d)) for q in x.primes}
+    codes = {q: np.sort(np.ravel_multi_index(tuple(good_rows(x, q).T), (q,) * x.d)) for q in x.primes}
     children = np.random.SeedSequence(seed).spawn((samples + dv._MC_BLOCK - 1) // dv._MC_BLOCK)
     hits = done = 0
     for child in children:
@@ -468,7 +470,7 @@ def _full_sweep_measure(x, samples, seed):
         pts = np.random.default_rng(child).random((size, x.d))
         hit = np.zeros(size, dtype=bool)
         for q in x.primes:
-            if x.rows(q).shape[0] == 0:
+            if good_rows(x, q).shape[0] == 0:
                 continue
             jmax = int(math.floor(radius * q + 0.5 + 1e-12))
             nearest = np.rint(pts * q).astype(np.int64)

@@ -20,6 +20,8 @@ from weylmax.experiment import (
 from weylmax.poly import IntPolynomial, family_diagonal, family_power_laplacian
 from weylmax.weyl import weyl_table
 
+from sets import good_rows
+
 P_SQ = family_diagonal(1, 2)
 P_UNEQUAL = IntPolynomial(2, {(3, 0): 1, (1, 0): 2, (0, 2): 1, (0, 0): 3})  # X1^3 + 2 X1 + X2^2 + 3
 
@@ -100,7 +102,7 @@ def test_scan_lower_bound_strength():
     floor = None
     for q in x.primes:
         table = weyl_table(P_SQ, q)
-        for b in x.rows(q)[:, 0]:
+        for b in good_rows(x, q)[:, 0]:
             split = main_error_split(P_SQ, f, RationalPoint((b,), q, (0.0,)), table)
             value = abs(split.main) - abs(split.error)
             floor = value if floor is None else min(floor, value)
@@ -155,7 +157,7 @@ def _diagonal_set(p, n):
     from weylmax.weyl import good_set_for
 
     primes = [11, 13, 17]
-    balls = [(q, tuple(b)) for q in primes for b in good_set_for(p, q, 0.5, p.degree()).members.tolist()]
+    balls = [(q, tuple(b)) for q in primes for b in good_set_for(p, q, 0.5).members.tolist()]
     return from_balls(n, p.dim, 1 / 32, 0.5, primes[0], balls, p)
 
 
@@ -275,7 +277,7 @@ def test_scan_shifted_values_match_exact_refold(p, n):
     budget = x.rho / (d * n)
     worst = 0.0
     for q in x.primes[::4]:
-        rows = x.rows(q)[:: max(1, len(x.rows(q)) // 8)]
+        rows = good_rows(x, q)[:: max(1, len(good_rows(x, q)) // 8)]
         deltas = rng.uniform(-budget, budget, size=rows.shape)
         deltas[::3] = 0.0  # the center values of the contraction path
         mom = experiment._moments(f, q)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylmax.errors import InputError, InvariantError, ResourceError
-from weylmax.numtheory import eval_poly_mod, is_prime, primes_in_band
+from weylmax.numtheory import band_start, eval_poly_mod, is_prime, primes_in_band
 from weylmax.poly import IntPolynomial, family_diagonal, family_power_laplacian
 from weylmax.weyl import (
     WeylTable,
@@ -124,14 +124,14 @@ def test_deligne_holds_d1_bands():
 
 
 def test_good_set_gauss_density_one():
-    gs = good_set(weyl_table(P_SQ, 13), 0.5, 2)
+    gs = good_set(weyl_table(P_SQ, 13), 0.5)
     assert gs.density == 1.0
     assert gs.members.shape == (13, 1)
 
 
 def test_good_set_density_floor_cubic():
     for q in primes_in_band(5, 200).primes:
-        gs = good_set(weyl_table(P_CUBE, q), 0.5, 3)
+        gs = good_set(weyl_table(P_CUBE, q), 0.5)
         assert gs.density >= (1 - 0.25) / 4
 
 
@@ -139,26 +139,26 @@ def test_good_set_threshold_monotone():
     t = weyl_table(P_CUBE, 31)
     prev = None
     for c in (0.9, 0.5, 0.2, 0.05):
-        members = {tuple(row) for row in good_set(t, c, 3).members.tolist()}
+        members = {tuple(row) for row in good_set(t, c).members.tolist()}
         if prev is not None:
             assert prev <= members
         prev = members
     nonzero = {(b,) for b in range(31) if abs(t.values[b]) > 0}
-    assert {tuple(row) for row in good_set(t, 1e-9, 3).members.tolist()} >= nonzero
+    assert {tuple(row) for row in good_set(t, 1e-9).members.tolist()} >= nonzero
 
 
 def test_good_set_rejects_bad_threshold():
     t = weyl_table(P_SQ, 5)
     for c in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(InputError):
-            good_set(t, c, 2)
+            good_set(t, c)
 
 
 def test_good_set_for_matches_direct_table():
     for p, q in ((family_diagonal(2, 3), 11), (family_diagonal(2, 3), 31), (family_diagonal(3, 3), 11),
                  (P_MIXED, 13), (P_MIXED, 101)):
-        a = good_set_for(p, q, 0.5, 3)
-        b = good_set(weyl_table(p, q, method="direct"), 0.5, 3)
+        a = good_set_for(p, q, 0.5)
+        b = good_set(weyl_table(p, q, method="direct"), 0.5)
         assert np.array_equal(a.members, b.members)
         assert a.density == b.density
         # members are lex sorted, as the divergence-set key index assumes
@@ -178,13 +178,24 @@ def test_split_good_sets_match_direct(p, qs):
     for q in qs:
         if k % q == 0:
             continue
-        want = good_set(weyl_table(p, q, method="direct"), 0.5, k)
+        want = good_set(weyl_table(p, q, method="direct"), 0.5)
         out = np.zeros((q,) * p.dim, dtype=bool)
-        got = good_set_for(p, q, 0.5, k, out=out)
+        got = good_set_for(p, q, 0.5, out=out)
         assert got.mask is out
         assert np.array_equal(out, want.mask), q
         assert got.density == want.density and got.threshold == want.threshold
-        assert np.array_equal(good_set_for(p, q, 0.5, k).mask, want.mask)
+        assert np.array_equal(good_set_for(p, q, 0.5).mask, want.mask)
+
+
+def test_power_laplacian_good_sets_above_both_bounds():
+    # every band prime of (X1^2+X2^2)^2 at N=1024 has max|S| above both
+    # degree bounds, so only the Parseval floor checks its good set
+    p = family_power_laplacian(2, 2)
+    for q in primes_in_band(band_start(1024, 2), 2 * band_start(1024, 2)).primes:
+        direct = weyl_table(p, q, method="direct")
+        rep = deligne_check(direct, p.degree())
+        assert not rep.ok and not rep.classical_ok, q
+        assert np.array_equal(good_set_for(p, q, 0.5).mask, good_set(direct, 0.5).mask), q
 
 
 def test_split_good_set_corrupted_axis_table(monkeypatch):
@@ -199,7 +210,7 @@ def test_split_good_set_corrupted_axis_table(monkeypatch):
 
     monkeypatch.setattr(weyl, "axis_tables", corrupted)
     with pytest.raises(InvariantError, match="Parseval"):
-        good_set_for(family_diagonal(2, 2), 101, 0.5, 2)
+        good_set_for(family_diagonal(2, 2), 101, 0.5)
 
 
 def test_good_set_classical_floor_d2():
@@ -207,13 +218,16 @@ def test_good_set_classical_floor_d2():
     # classical 2^2*5, so the floor (1-c^2)/(k-1)^(2d) = 0.75/16 applies
     values = np.zeros((5, 5), dtype=complex)
     values[1, 2] = 15.0
-    table = WeylTable(q=5, d=2, values=values, build_method="dft")
+    table = WeylTable(q=5, d=2, factors=[values], build_method="dft")
     rep = deligne_check(table, 3)
     assert not rep.ok and rep.classical_ok
     with pytest.raises(InvariantError):
-        good_set(table, 0.5, 3)
-    values[1, 2] = 25.0  # above both bounds: no floor is checked
-    assert good_set(table, 0.5, 3).density == 1 / 25
+        good_set(table, 0.5)
+    values[1, 2] = 21.0  # above both bounds, still below the Parseval floor 0.75 * 25 / 21^2
+    with pytest.raises(InvariantError):
+        good_set(table, 0.5)
+    values[1, 2] = 25.0  # above both bounds, Parseval-consistent: the floor holds
+    assert good_set(table, 0.5).density == 1 / 25
 
 
 def _next_prime(n):
