@@ -136,11 +136,13 @@ def _parse_list(text: str, name: str, kind=int) -> tuple:
 
 
 def _point(args, p: poly.IntPolynomial):
-    """The datum at --n and the point b/q + delta of --q, --b, --delta."""
+    """The datum at --n, the point b/q + delta of --q, --b, --delta and
+    the run configuration with the resolved point."""
     f = datum_mod.datum_coefficients(args.n, p.dim)
     b = _parse_list(args.b, "--b")
     delta = _parse_list(args.delta, "--delta", float) if args.delta else (0.0,) * p.dim
-    return f, datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
+    pt = datum_mod.RationalPoint(b=b, q=args.q, delta=delta)
+    return f, pt, {**_config(args, p), "b": list(pt.b), "delta": list(pt.delta)}
 
 
 def cmd_weyl_table(args) -> int:
@@ -186,21 +188,21 @@ def cmd_good_set(args) -> int:
 
 def cmd_solution_eval(args) -> int:
     p = _load_poly(args)
-    f, pt = _point(args, p)
+    f, pt, cfg = _point(args, p)
     u = datum_mod.evaluate_solution(p, f, pt)
     _json_out({
-        "config": _config(args, p), "re": u.real, "im": u.imag, "modulus": abs(u),
+        "config": cfg, "re": u.real, "im": u.imag, "modulus": abs(u),
     }, args.out)
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
     p = _load_poly(args)
-    f, pt = _point(args, p)
+    f, pt, cfg = _point(args, p)
     table = weyl.weyl_table(p, args.q)
     split = decomp.main_error_split(p, f, pt, table)
     _json_out({
-        "config": _config(args, p),
+        "config": cfg,
         "M_re": split.main.real, "M_im": split.main.imag,
         "E_re": split.error.real, "E_im": split.error.imag,
         "ratio": split.ratio, "Zhat0": abs(split.zhat0),

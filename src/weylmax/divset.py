@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError, ResourceError
 from .numtheory import band_start, close_fraction_pairs, is_prime, primes_in_band
 from .poly import IntPolynomial
-from .weyl import good_set_for, weyl_sum_direct
+from .weyl import good_set_for
 
 log = logging.getLogger(__name__)
 
@@ -239,49 +239,24 @@ def _exact_interval_measure(x: DivergenceSet) -> float:
 
 
 _MC_BLOCK = 1 << 16
-
-
-def _strip_rows(x0: np.ndarray, centers: np.ndarray, half: float) -> np.ndarray:
-    """Positions in the ascending array ``x0`` within ``half`` of some
-    center on the circle, each position once.
-
-    ``centers`` ascend in [0, 1) and ``half <= 0.5``. The strip ranges
-    come from two ``searchsorted`` calls; the wrap-around ranges at 0
-    and 1 only need the last and the first center. Ranges ascend in both
-    ends, so clipping each start to the previous end removes overlaps.
-    """
-    lo, hi = centers - half, centers + half
-    starts = np.searchsorted(x0, lo, side="left")
-    ends = np.searchsorted(x0, hi, side="right")
-    if lo[0] < 0.0:  # the strips reaching below 0 continue below 1
-        starts = np.append(starts, np.searchsorted(x0, lo[0] + 1.0, side="left"))
-        ends = np.append(ends, x0.size)
-    if hi[-1] >= 1.0:  # the strips reaching past 1 continue past 0
-        starts = np.insert(starts, 0, 0)
-        ends = np.insert(ends, 0, np.searchsorted(x0, hi[-1] - 1.0, side="right"))
-    starts[1:] = np.maximum(starts[1:], ends[:-1])
-    counts = np.maximum(ends - starts, 0)
-    total = int(counts.sum())
-    return np.arange(total) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+MC_SAMPLE_GUARD = 1 << 30  # max Monte Carlo samples (16 384 blocks of _MC_BLOCK)
 
 
 def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, float]:
     """Hit fraction of uniform points with its binomial standard error.
 
     A point hits ball (q, b) when every coordinate lies within
-    ``radius`` of ``b_i/q`` on the circle. Per block the points are
-    sorted by their first coordinate once; each prime then tests only
-    the points within ``radius + 1e-12`` of a first residue of its balls
-    over ``q`` (its strips), and a candidate center is a ball when its
-    residue is set in the prime's mask. No point outside the strips can
-    pass, as the margin is far above the rounding of the distance, so
-    the hit set equals that of testing every point. No circle distance
-    exceeds 0.5, so the strips are capped there.
+    ``radius`` of ``b_i/q`` on the circle. Per block, each prime tests
+    only the points whose first coordinate ``x0`` lies within
+    ``radius + 1e-12`` of the grid ``Z/q`` (``|x0 q - rint(x0 q)| <= half q``),
+    and a candidate center is a ball when its residue is set in the
+    prime's mask. A point inside a ball lies that close to ``b_0/q``;
+    the margin is far above the rounding of ``x0 q``, so the hit set
+    equals that of testing every point.
     """
     radius = x.rho / x.N
-    half = min(radius + 1e-12, 0.5)
+    half = radius + 1e-12
     primes = [q for q in x.primes if x.good_by_q[q].any()]
-    centers = {q: np.flatnonzero(x.good_by_q[q].reshape(q, -1).any(1)) / q for q in primes}
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     hits = 0
@@ -289,11 +264,16 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
     for blk in range(n_blocks):
         size = min(_MC_BLOCK, samples - done)
         pts = np.random.default_rng(children[blk]).random((size, x.d))
-        order = np.argsort(pts[:, 0])
-        x0 = pts[order, 0]
+        x0 = np.ascontiguousarray(pts[:, 0])
+        scaled, frac, near = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
         hit = np.zeros(size, dtype=bool)
         for q in primes:
-            rows = order[_strip_rows(x0, centers[q], half)]
+            np.multiply(x0, q, out=scaled)
+            np.rint(scaled, out=frac)
+            np.subtract(scaled, frac, out=frac)
+            np.abs(frac, out=frac)
+            np.less_equal(frac, half * q, out=near)
+            rows = np.flatnonzero(near)
             if rows.size == 0:
                 continue
             sub = pts[rows]
@@ -338,6 +318,8 @@ def measure(
         raise InputError(f"unknown measure method {method!r}")
     elif samples < 1:
         raise InputError(f"sample count must be positive, got {samples}")
+    elif samples > MC_SAMPLE_GUARD:
+        raise ResourceError(f"{samples} Monte Carlo samples exceed guard {MC_SAMPLE_GUARD}")
     j = x.ball_count
     vol = (2.0 * x.rho / x.N) ** x.d
     pairs = overlap_pair_count(x)
@@ -354,27 +336,6 @@ def measure(
     )
 
 
-def revalidate_members(x: DivergenceSet, fraction: float = 0.01, seed=0) -> int:
-    """Spot-check: recompute fresh Weyl sums for a sample of ball centers
-    and confirm each modulus clears the good-set threshold.
-
-    Returns the number of centers checked; raises InputError when the
-    set carries no polynomial provenance.
-    """
-    if x.polynomial is None:
-        raise InputError("divergence set has no polynomial attached")
-    j = x.ball_count
-    idx = np.random.default_rng(seed).choice(j, size=min(max(1, int(j * fraction)), j), replace=False)
-    for q, *b in x.balls(np.sort(idx)).tolist():
-        s = weyl_sum_direct(x.polynomial, q, b)
-        threshold = x.c * float(q) ** (x.d / 2)
-        if abs(s) < threshold * (1 - 1e-9):
-            raise InputError(
-                f"ball (q={q}, b={tuple(b)}) fails revalidation: |S| = {abs(s):.6f} < {threshold:.6f}"
-            )
-    return len(idx)
-
-
 def from_balls(
     N: int, d: int, rho: float, c: float, Q: int,
     balls: np.ndarray | list[tuple[int, tuple[int, ...]]],
@@ -386,7 +347,8 @@ def from_balls(
     or a list of ``(q, b)`` pairs, in any order; duplicate balls set the
     same mask entry. The parameters must pass the checks of
     ``build_divergence_set``, every modulus must be prime, the masks must
-    fit the resource guard and every residue must lie in [0, q).
+    fit the resource guard and every residue must lie in [0, q). With a
+    ``polynomial``, every ball must lie in the good set of its prime.
     """
     if N < 1 or d < 1:
         raise InputError(f"need N >= 1 and d >= 1, got N = {N}, d = {d}")
@@ -419,4 +381,10 @@ def from_balls(
     for i in range(d):
         code = code * rows[:, 0] + res[:, i]
     x.bits[np.array(list(x.start.values()), dtype=np.int64)[which] + code] = True
+    if polynomial is not None:
+        for q, mask in x.good_by_q.items():
+            outside = mask & ~good_set_for(polynomial, q, c).mask
+            if outside.any():
+                b = tuple(np.argwhere(outside)[0].tolist())
+                raise InputError(f"ball (q={q}, b={b}) is not in the good set at c={c}")
     return x

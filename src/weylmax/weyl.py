@@ -29,7 +29,6 @@ class WeylTable:
     q: int
     d: int
     factors: list[np.ndarray]  # complex128, one (q,) per axis or one (q,)*d
-    build_method: str
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -175,7 +174,7 @@ def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
         if not defect <= PARSEVAL_TOL:
             raise InvariantError(
                 f"Parseval defect {defect:.3e} above {PARSEVAL_TOL} for q={q}, d={f.ndim}")
-    return WeylTable(q=q, d=poly.dim, factors=factors, build_method=method)
+    return WeylTable(q=q, d=poly.dim, factors=factors)
 
 
 def _parseval_defect(values: np.ndarray, q: int) -> float:

@@ -94,6 +94,22 @@ def test_decompose_json(capsys):
     assert obj["Zhat0"] == pytest.approx(1.125 * 256 / 17, rel=0.1)
 
 
+@pytest.mark.parametrize("command", ["solution-eval", "decompose"])
+def test_point_config_reproduces_output(capsys, command):
+    code, out = run(capsys, command, "--poly", P_SQ, "--n", "256", "--q", "17",
+                    "--b", "20", "--delta", "1e-5")
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    assert (cfg["b"], cfg["delta"]) == ([3], [1e-5])
+    # the artifact alone gives the command back
+    again = run(capsys, command, "--poly", json.dumps(cfg["poly"]), "--n", str(cfg["n"]),
+                "--q", str(cfg["q"]), "--b", ",".join(map(str, cfg["b"])),
+                "--delta", ",".join(map(repr, cfg["delta"])))
+    assert again == (0, out)
+    code, out = run(capsys, command, "--poly", P_SQ, "--n", "256", "--q", "17", "--b", "3")
+    assert json.loads(out)["config"]["delta"] == [0.0]
+
+
 def test_build_and_measure_roundtrip(capsys, tmp_path):
     path = tmp_path / "xn.csv"
     code, _ = run(capsys, "build-xn", "--poly", P_SQ, "--n", "4096", "--out", str(path))
@@ -476,6 +492,29 @@ def test_measure_xn_validates_before_overlap_count(capsys, tmp_path, monkeypatch
     assert run(capsys, "measure-xn", "--in", str(path), "--method", "exact")[0] == 2
     assert run(capsys, "measure-xn", "--in", str(path), "--samples", "0")[0] == 2
     assert run(capsys, "measure-xn", "--in", str(path), "--method", "bogus")[0] == 2
+
+
+def test_measure_xn_edited_residue_exit_2(capsys, tmp_path):
+    path = tmp_path / "xn.csv"
+    assert run(capsys, "build-xn", "--poly", P_CUBE, "--n", "1024", "--out", str(path))[0] == 0
+    assert run(capsys, "measure-xn", "--in", str(path))[0] == 0
+    lines = path.read_text().splitlines(keepends=True)
+    rows = [tuple(map(int, ln.split(","))) for ln in lines[2:]]
+    q = rows[0][0]
+    outside = min(set(range(q)) - {b for p, b in rows if p == q})
+    lines[2] = f"{q},{outside}\r\n"
+    path.write_text("".join(lines))
+    code, out, err = run_err(capsys, "measure-xn", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert f"ball (q={q}, b=({outside},))" in err
+
+
+def test_measure_xn_samples_over_guard_exit_3(capsys, tmp_path):
+    path = _xn_file(tmp_path, GOOD_HEADER)
+    assert run(capsys, "measure-xn", "--in", path, "--method", "montecarlo", "--samples", "1000")[0] == 0
+    code, out = run(capsys, "measure-xn", "--in", path, "--method", "montecarlo",
+                    "--samples", str(divset.MC_SAMPLE_GUARD + 1))
+    assert code == 3 and out == ""
 
 
 def test_build_xn_read_back_matches_built_set(capsys, tmp_path):

@@ -14,12 +14,10 @@ from weylmax.divset import (
     from_balls,
     measure,
     overlap_pair_count,
-    revalidate_members,
 )
 from weylmax.errors import InputError, ResourceError
 from weylmax.numtheory import lattice_pair_count
 from weylmax.poly import family_diagonal, family_power_laplacian
-from weylmax.weyl import weyl_sum_direct
 
 from sets import good_rows
 
@@ -170,6 +168,18 @@ def test_measure_exact_rejects_d2():
         measure(x, "exact")
 
 
+def test_measure_sample_guard(monkeypatch):
+    x = from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=[(103, (5, 6))])
+    with pytest.raises(ResourceError):
+        measure(x, samples=dv.MC_SAMPLE_GUARD + 1)
+    monkeypatch.setattr(dv, "MC_SAMPLE_GUARD", 1000)
+    assert measure(x, samples=1000).samples == 1000
+    with pytest.raises(ResourceError):
+        measure(x, samples=1001)
+    d1 = from_balls(N=1024, d=1, rho=1 / 32, c=0.5, Q=32, balls=[(37, (5,))])
+    assert measure(d1, samples=10**12).method == "exact"  # the exact measure draws no sample
+
+
 def _interval_union_oracle(x):
     """Sequential merge of the sorted arcs, one Python tuple per segment."""
     r = x.rho / x.N
@@ -303,30 +313,6 @@ def test_montecarlo_d2_within_4_sigma_of_bracket(p):
         assert outside <= 4 * res.error, (seed, res)
 
 
-def test_revalidate_sample_of_centers():
-    x = build_divergence_set(P_CUBE, 1024)
-    assert revalidate_members(x, fraction=0.02, seed=1) >= 1
-
-
-@pytest.mark.parametrize("p, n, fraction, seed", [
-    (P_CUBE, 1024, 0.02, 1), (P_CUBE, 1024, 1.0, 0), (family_diagonal(2, 3), 512, 0.002, 5),
-])
-def test_revalidate_checks_the_ball_list_draw(monkeypatch, p, n, fraction, seed):
-    x = build_divergence_set(p, n)
-    checked = []
-
-    def record(poly, q, b):
-        checked.append((q, tuple(b)))
-        return weyl_sum_direct(poly, q, b)
-
-    monkeypatch.setattr(dv, "weyl_sum_direct", record)
-    balls = x.ball_list()
-    size = min(max(1, int(len(balls) * fraction)), len(balls))
-    idx = np.random.default_rng(seed).choice(len(balls), size=size, replace=False)
-    assert revalidate_members(x, fraction, seed) == size
-    assert sorted(checked) == sorted(balls[i] for i in idx)
-
-
 def test_revalidate_catches_bad_ball():
     good = build_divergence_set(P_CUBE, 1024)
     outside = None
@@ -337,12 +323,12 @@ def test_revalidate_catches_bad_ball():
             outside = (q, rest[0])
             break
     assert outside is not None, "every good set is full; cannot build a bad ball"
-    bad = from_balls(
-        N=good.N, d=1, rho=good.rho, c=good.c, Q=good.Q,
-        balls=[(outside[0], (outside[1],))], polynomial=P_CUBE,
-    )
-    with pytest.raises(InputError):
-        revalidate_members(bad, fraction=1.0, seed=0)
+    params = dict(N=good.N, d=1, rho=good.rho, c=good.c, Q=good.Q)
+    balls = np.vstack((good.balls(), [outside]))
+    assert from_balls(**params, balls=balls).ball_count == good.ball_count + 1
+    with pytest.raises(InputError, match=rf"ball \(q={outside[0]}, b=\({outside[1]},\)\)"):
+        from_balls(**params, balls=balls, polynomial=P_CUBE)
+    assert from_balls(**params, balls=good.balls(), polynomial=P_CUBE).bits.tobytes() == good.bits.tobytes()
 
 
 def test_from_balls_rejects_invalid_balls():
@@ -488,6 +474,8 @@ def _full_sweep_measure(x, samples, seed):
 
 _SWEEP_SETS = {
     "d1": lambda rho: build_divergence_set(P_SQ, 4096, rho=rho),
+    # b = 0 is not good at q = 2 mod 3 (S(0) = 0): points near 0 have no ball
+    "d1-cubes": lambda rho: build_divergence_set(P_CUBE, 4096, rho=rho),
     "d2-squares": lambda rho: build_divergence_set(family_diagonal(2, 2), 512, rho=rho),
     "d2-cubes": lambda rho: build_divergence_set(family_diagonal(2, 3), 512, rho=rho),
     "d3": lambda rho: from_balls(
@@ -507,9 +495,9 @@ def test_montecarlo_strips_match_full_sweep(name, rho):
 
 
 def test_montecarlo_strips_wrap_around():
-    # first residues 0 and q - 1: the strips at 0 continue below 1
+    # first residues 0 and q - 1: points just below 1 round to the grid point 1 = 0/q
     edges = [(q, (b0, b1)) for q in (11, 13) for b0 in (0, q - 1) for b1 in range(q)]
-    # one center 10/11 with rho/N > 1/11: its strip continues past 0
+    # one center 10/11 with rho/N > 1/11: every point is within rho/N of the grid
     last = [(11, (10, b1)) for b1 in range(11)]
     for balls, rho in ((edges, 2.0), (edges, 8.0), (last, 50.0)):
         x = from_balls(N=512, d=2, rho=rho, c=0.5, Q=11, balls=balls)
@@ -517,18 +505,3 @@ def test_montecarlo_strips_wrap_around():
             got = dv._montecarlo_measure(x, 50_000, seed)
             assert got == _full_sweep_measure(x, 50_000, seed)
             assert got[0] > 0
-
-
-def test_strip_rows_cover_each_point_once():
-    rng = np.random.default_rng(2)
-    x0 = np.sort(rng.random(5_000))
-    # strips wrap at 0, at 1, at both; half = 0.5 covers the whole circle
-    for centers, half in (([0.001, 0.5], 0.003), ([0.5, 0.9995], 0.003),
-                          ([0.0, 0.2, 0.2004, 0.7, 0.9985], 0.003),
-                          ([0.1, 0.45, 0.8], 0.3), ([0.3], 0.5), ([0.2, 0.9], 0.5)):
-        centers = np.array(centers)
-        rows = dv._strip_rows(x0, centers, half)
-        dist = np.abs(x0[:, None] - centers[None, :])
-        near = np.flatnonzero((np.minimum(dist, 1 - dist) <= half).any(axis=1))
-        assert np.array_equal(np.sort(rows), near)
-        assert np.unique(rows).size == rows.size

@@ -247,6 +247,15 @@ def test_resource_guard_marks_row_failed_and_continues():
     assert all(math.isnan(r.ratio) for r in rows)
 
 
+def test_sample_guard_marks_row_failed(monkeypatch):
+    from weylmax import divset
+
+    monkeypatch.setattr(divset, "MC_SAMPLE_GUARD", 1000)
+    cfg = ExperimentConfig(sample_budget=10, mc_samples=1001)
+    rows = ratio_experiment(family_diagonal(2, 2), 0.0, [512], cfg)
+    assert rows[0].failed and "guard" in rows[0].fail_reason
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("k", [2, 3])
 def test_monotone_positive_slope_d2(k):

@@ -218,7 +218,7 @@ def test_good_set_classical_floor_d2():
     # classical 2^2*5, so the floor (1-c^2)/(k-1)^(2d) = 0.75/16 applies
     values = np.zeros((5, 5), dtype=complex)
     values[1, 2] = 15.0
-    table = WeylTable(q=5, d=2, factors=[values], build_method="dft")
+    table = WeylTable(q=5, d=2, factors=[values])
     rep = deligne_check(table, 3)
     assert not rep.ok and rep.classical_ok
     with pytest.raises(InvariantError):
