@@ -73,16 +73,22 @@ def _config(args, p: poly.IntPolynomial | None = None) -> dict:
     return cfg
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text, out_path: str | None) -> None:
+    """Write ``text``, a string or an iterable of string pieces, to
+    ``out_path`` or to stdout, one piece at a time."""
+    pieces = [text] if isinstance(text, str) else text
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise InputError(f"{out_path}: cannot write: {exc}") from exc
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for piece in pieces:
+            sys.stdout.write(piece)
+            last = piece or last
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
 
 
@@ -90,37 +96,54 @@ def _json_out(obj: dict, out_path: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True, default=float), out_path)
 
 
-def _int_csv(columns: list[str], table) -> str:
-    """The text ``csv.writer`` writes for the header ``columns`` and the
-    rows of a table of non-negative integers, one row per table row.
+CSV_BLOCK = 1 << 15  # table rows rendered per piece of _int_csv
 
-    Each column is rendered as fixed-width ASCII digits (the width of its
-    largest value) into one byte array, and the leading-zero pad bytes
-    are masked out, so no Python object is made per field.
+
+def _int_csv(columns: list[str], table, head: str = ""):
+    """The text ``csv.writer`` writes for the header ``columns`` and the
+    rows of a table of non-negative integers, one row per table row, as
+    an iterator of pieces: ``head`` and the header, then at most
+    CSV_BLOCK rows each.
+
+    The values are checked and the column widths (of each column's
+    largest value) taken from the whole table before this returns, so a
+    bad table raises before any output is opened. Each field is rendered
+    as fixed-width ASCII digits into one byte buffer reused by every
+    block, and the leading-zero pad bytes are masked out, so no Python
+    object is made per field.
     """
-    head = ",".join(columns) + "\r\n"
     table = np.asarray(table, dtype=np.int64).reshape(-1, len(columns))
-    if not table.size:
-        return head
-    if table.min() < 0:
+    if table.size and table.min() < 0:
         raise ValueError("_int_csv writes non-negative integers only")
-    widths = [len(str(v)) for v in table.max(axis=0).tolist()]
-    # digits of every field, a "," after each field but the last, then \r\n
-    out = np.empty((len(table), sum(widths) + len(widths) + 1), dtype=np.uint8)
-    keep = np.ones(out.shape, dtype=bool)
-    digit = np.empty(len(table), dtype=np.int64)  # reused: no table-sized temporary per digit
-    pos = 0
-    for col, width in zip(table.T, widths):
-        for k in range(width):  # one scalar divisor per digit
-            power = 10 ** (width - 1 - k)
-            np.remainder(np.floor_divide(col, power, out=digit), 10, out=digit)
-            np.add(digit, ord("0"), out=out[:, pos + k], casting="unsafe")
-            if k < width - 1:
-                np.greater_equal(col, power, out=keep[:, pos + k])
-        out[:, pos + width] = ord(",")
-        pos += width + 1
-    out[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-    return head + out[keep].tobytes().decode("ascii")
+    widths = [len(str(v)) for v in table.max(axis=0).tolist()] if table.size else []
+
+    def pieces():
+        yield head + ",".join(columns) + "\r\n"
+        if not table.size:
+            return
+        rows = min(len(table), CSV_BLOCK)
+        # digits of every field, a "," after each field but the last, then \r\n
+        out = np.empty((rows, sum(widths) + len(widths) + 1), dtype=np.uint8)
+        keep = np.ones(out.shape, dtype=bool)
+        digit = np.empty(rows, dtype=np.int64)  # reused: no block-sized temporary per digit
+        ends = np.cumsum([w + 1 for w in widths], dtype=np.int64) - 1
+        out[:, ends] = ord(",")
+        out[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+        for lo in range(0, len(table), CSV_BLOCK):
+            block = table[lo : lo + CSV_BLOCK]
+            o, kept, dig = out[: len(block)], keep[: len(block)], digit[: len(block)]
+            pos = 0
+            for col, width in zip(block.T, widths):
+                for k in range(width):  # one scalar divisor per digit
+                    power = 10 ** (width - 1 - k)
+                    np.remainder(np.floor_divide(col, power, out=dig), 10, out=dig)
+                    np.add(dig, ord("0"), out=o[:, pos + k], casting="unsafe")
+                    if k < width - 1:
+                        np.greater_equal(col, power, out=kept[:, pos + k])
+                pos += width + 1
+            yield o[kept].tobytes().decode("ascii")
+
+    return pieces()
 
 
 def _parse_list(text: str, name: str, kind=int) -> tuple:
@@ -181,7 +204,7 @@ def cmd_good_set(args) -> int:
     }
     if args.out:
         head = "# " + json.dumps(_config(args, p), sort_keys=True) + "\n"
-        _emit(head + _int_csv([f"b{i}" for i in range(p.dim)], gs.members), args.out)
+        _emit(_int_csv([f"b{i}" for i in range(p.dim)], gs.members, head), args.out)
     _json_out(obj, None)
     return EXIT_OK
 
@@ -214,45 +237,48 @@ def cmd_build_xn(args) -> int:
     p = _load_poly(args)
     x = divset.build_divergence_set(p, args.n, c=args.c, rho=args.rho)
     head = "# " + json.dumps({**_config(args, p), "Q": x.Q}, sort_keys=True) + "\n"
-    _emit(head + _int_csv(["q"] + [f"b{i}" for i in range(p.dim)], x.balls()), args.out)
+    _emit(_int_csv(["q"] + [f"b{i}" for i in range(p.dim)], x.balls(), head), args.out)
     return EXIT_OK
 
 
 def _read_xn(path: str) -> divset.DivergenceSet:
-    text = _read_text(path)
-    head, _, _ = text.partition("\n")
-    if not head.startswith("# "):
-        raise InputError(f"{path}: missing JSON header comment")
-    # the column header is the first line that is neither blank nor a comment
-    pos, columns = len(head) + 1, None
-    while columns is None and pos < len(text):
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
-        line = text[pos:end]
-        pos = end + 1
-        if line.strip() and not line.startswith("#"):
-            columns = [name.strip() for name in line.split(",")]
+    """The divergence set stored by build-xn, read in one pass over the
+    file: the JSON header line, the lines up to the column header, then
+    the body straight from the same handle into ``np.loadtxt``."""
+    balls = []
     try:
-        cfg = json.loads(head[2:])
-        d = int(cfg["d"])
-        p = poly.parse_polynomial(json.dumps(cfg["poly"])) if "poly" in cfg else None
-        params = dict(N=int(cfg["n"]), d=d, rho=float(cfg["rho"]), c=float(cfg["c"]), Q=int(cfg["Q"]))
-        balls = []
-        if columns is not None:
-            if d >= len(columns):  # before the column names, so a huge d stays cheap
-                raise InputError(f"{path}: d = {d} needs columns q,b0..b{d - 1}, got {columns}")
-            use = [columns.index(name) for name in ["q"] + [f"b{i}" for i in range(d)]]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header-only body
-                table = np.loadtxt(io.StringIO(text[pos:]), dtype=np.int64, delimiter=",",
-                                   comments="#", ndmin=2)
-            if table.size:
-                if table.shape[1] != len(columns):
-                    raise InputError(f"{path}: rows have {table.shape[1]} fields, "
-                                     f"the column header has {len(columns)}")
-                balls = table[:, use]
+        with open(path) as fh:
+            head = fh.readline().removesuffix("\n")
+            if not head.startswith("# "):
+                raise InputError(f"{path}: missing JSON header comment")
+            # the column header is the first line that is neither blank nor a comment
+            columns = None
+            for line in fh:
+                if line.strip() and not line.startswith("#"):
+                    columns = [name.strip() for name in line.split(",")]
+                    break
+            cfg = json.loads(head[2:])
+            d = int(cfg["d"])
+            p = poly.parse_polynomial(json.dumps(cfg["poly"])) if "poly" in cfg else None
+            params = dict(N=int(cfg["n"]), d=d, rho=float(cfg["rho"]), c=float(cfg["c"]), Q=int(cfg["Q"]))
+            if columns is not None:
+                if d >= len(columns):  # before the column names, so a huge d stays cheap
+                    raise InputError(f"{path}: d = {d} needs columns q,b0..b{d - 1}, got {columns}")
+                use = [columns.index(name) for name in ["q"] + [f"b{i}" for i in range(d)]]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a header-only body
+                    table = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
+                if table.size:
+                    if table.shape[1] != len(columns):
+                        raise InputError(f"{path}: rows have {table.shape[1]} fields, "
+                                         f"the column header has {len(columns)}")
+                    # a copy only when the columns are not already q,b0.. in order
+                    balls = table[:, : 1 + d] if use == list(range(1 + d)) else table[:, use]
+                del table
     except InputError:
         raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from exc
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: malformed divergence-set file: {exc!r}") from exc
     return divset.from_balls(balls=balls, polynomial=p, **params)

@@ -320,6 +320,8 @@ def measure(
         raise InputError(f"sample count must be positive, got {samples}")
     elif samples > MC_SAMPLE_GUARD:
         raise ResourceError(f"{samples} Monte Carlo samples exceed guard {MC_SAMPLE_GUARD}")
+    elif seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     j = x.ball_count
     vol = (2.0 * x.rho / x.N) ** x.d
     pairs = overlap_pair_count(x)
@@ -365,22 +367,31 @@ def from_balls(
         rows = rows.reshape(0, 1 + d)
     if rows.ndim != 2 or rows.shape[1] != 1 + d:
         raise InputError(f"balls must form a (J, 1 + d) = (J, {1 + d}) array, got shape {rows.shape}")
-    primes, which = np.unique(rows[:, 0], return_inverse=True)
-    primes = primes.tolist()
+    qs, res = rows[:, 0], rows[:, 1:]
+    ordered = np.sort(qs)  # sort, not np.unique: numpy 2's hashing unique is slower on few distinct q
+    primes = ordered[np.diff(ordered, prepend=ordered[:1] - 1) != 0].tolist()
+    del ordered
     for q in primes:
         if not is_prime(q):
             raise InputError(f"ball modulus q={q} is not prime")
     x = _empty_set(N, d, rho, c, Q, primes, polynomial)
-    res = rows[:, 1:]
-    bad = ((res < 0) | (res >= rows[:, :1])).any(axis=1)
-    if bad.any():  # checked before indexing: a negative residue would wrap
-        q = int(rows[bad, 0].min())
-        arr = res[rows[:, 0] == q]
+    bad = np.zeros(len(rows), dtype=bool)
+    for b in res.T:  # one column at a time, checked before indexing: a negative residue would wrap
+        bad |= b < 0
+        bad |= b >= qs
+    if bad.any():
+        q = int(qs[bad].min())
+        arr = res[qs == q]
         raise InputError(f"residues for q={q} must lie in [0, {q}), got range [{arr.min()}, {arr.max()}]")
-    code = np.zeros(len(rows), dtype=np.int64)
-    for i in range(d):
-        code = code * rows[:, 0] + res[:, i]
-    x.bits[np.array(list(x.start.values()), dtype=np.int64)[which] + code] = True
+    # flat position start[q] + (b_0 q + b_1) q + ..., in place: no (J, d) temporary
+    pos = np.searchsorted(primes, qs)
+    np.take(np.array(list(x.start.values()), dtype=np.int64), pos, out=pos)
+    code = res[:, 0].copy()
+    for i in range(1, d):
+        np.multiply(code, qs, out=code)
+        np.add(code, res[:, i], out=code)
+    np.add(pos, code, out=pos)
+    x.bits[pos] = True
     if polynomial is not None:
         for q, mask in x.good_by_q.items():
             outside = mask & ~good_set_for(polynomial, q, c).mask

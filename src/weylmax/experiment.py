@@ -255,6 +255,8 @@ def ratio_experiment(
         raise InputError(f"Sobolev index must be finite, got {s}")
     if config.threads < 1:
         raise InputError(f"thread count must be positive, got {config.threads}")
+    if config.seed < 0:
+        raise InputError(f"seed must be non-negative, got {config.seed}")
     d = poly.dim
     k = poly.degree()
     if k < 2:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -187,19 +188,23 @@ EDGES = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 9999, 10_000, 123_456_789, 10
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_int_csv_matches_csv_writer(d):
+def test_int_csv_matches_csv_writer(monkeypatch, d):
     columns = ["q"] + [f"b{i}" for i in range(d)]
     rng = np.random.default_rng(d)
     table = np.column_stack([rng.permutation(EDGES) for _ in range(1 + d)])
-    for rows in (table, table[:1], table[:0]):
-        assert _int_csv(columns, rows) == _csv_writer_text(columns, rows)
-    assert _int_csv(columns, table[:0]) == ",".join(columns) + "\r\n"  # header only
+    for block in (cli.CSV_BLOCK, 7):  # 7: the 15 rows span three blocks
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        for rows in (table, table[:1], table[:0], table[:7], table[:8], table[:14]):
+            pieces = list(_int_csv(columns, rows))
+            assert len(pieces) == 1 + -(-len(rows) // block)  # the header, then one piece per block
+            assert "".join(pieces) == _csv_writer_text(columns, rows)
+    assert "".join(_int_csv(columns, table[:0])) == ",".join(columns) + "\r\n"  # header only
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2), max_size=20))
 def test_int_csv_matches_csv_writer_on_any_rows(rows):
-    assert _int_csv(["a", "b"], np.array(rows, dtype=np.int64)) == _csv_writer_text(["a", "b"], rows)
+    assert "".join(_int_csv(["a", "b"], np.array(rows, dtype=np.int64))) == _csv_writer_text(["a", "b"], rows)
 
 
 def test_int_csv_refuses_negative_values():
@@ -216,16 +221,40 @@ def test_build_xn_stdout_equals_out_file(capsys, tmp_path):
     assert out.encode() == path.read_bytes()
 
 
-def test_good_set_out_rows_match_members(capsys, tmp_path):
+def test_int_csv_checks_before_the_first_piece(tmp_path):
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError):
+        cli._emit(_int_csv(["a"], np.array([[3], [-1]]), "# {}\n"), str(path))
+    assert not path.exists()
+
+
+def test_build_xn_blocks_match_csv_writer(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_BLOCK", 7)
+    path = tmp_path / "xn.csv"
+    assert run(capsys, "build-xn", "--poly", P_SQ, "--n", "1024", "--out", str(path))[0] == 0
+    code, out = run(capsys, "build-xn", "--poly", P_SQ, "--n", "1024")
+    assert code == 0
+    assert out.encode() == path.read_bytes()
+    head, _, body = path.read_bytes().decode().partition("\n")
+    balls = divset.build_divergence_set(parse_polynomial(P_SQ), 1024).balls()
+    assert len(balls) > 7 * 3
+    assert body == _csv_writer_text(["q", "b0"], balls)
+    assert json.loads(head[2:])["Q"] == 32
+
+
+def test_good_set_out_rows_match_members(capsys, tmp_path, monkeypatch):
     path = tmp_path / "gs.csv"
     poly2 = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
-    code, out = run(capsys, "good-set", "--poly", poly2, "--q", "31", "--out", str(path))
-    assert code == 0
-    head, _, body = path.read_bytes().decode().partition("\n")
-    assert json.loads(head[2:])["q"] == 31
     members = weyl.good_set_for(parse_polynomial(poly2), 31, 0.5).members
-    assert body == _csv_writer_text(["b0", "b1"], members)
-    assert json.loads(out)["count"] == len(members)
+    assert len(members) > 7 and len(members) % 7  # the last block of 7 rows is partial
+    for block in (cli.CSV_BLOCK, 7):
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        code, out = run(capsys, "good-set", "--poly", poly2, "--q", "31", "--out", str(path))
+        assert code == 0
+        head, _, body = path.read_bytes().decode().partition("\n")
+        assert json.loads(head[2:])["q"] == 31
+        assert body == _csv_writer_text(["b0", "b1"], members)
+        assert json.loads(out)["count"] == len(members)
 
 
 @pytest.mark.parametrize("command", [
@@ -360,6 +389,14 @@ def test_ratio_experiment_threads_below_one_exit_2(capsys, threads):
     assert code == 2 and out == "" and "thread" in err
 
 
+@pytest.mark.parametrize("symbol", [P_SQ, '{"d":2,"terms":[{"e":[2,0],"c":1},{"e":[0,2],"c":1}]}'],
+                         ids=["d1", "d2"])
+def test_ratio_experiment_negative_seed_exit_2(capsys, symbol):
+    code, out, err = run_err(capsys, "ratio-experiment", "--poly", symbol, "--s", "0",
+                             "--n-ladder", "1024", "--seed=-1")
+    assert code == 2 and out == "" and "seed" in err
+
+
 @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
 def test_ratio_experiment_non_finite_s_exit_2(capsys, s):
     code, out = run(capsys, "ratio-experiment", "--poly", P_SQ, "--s", s, "--n-ladder", "1024,2048,4096")
@@ -389,6 +426,22 @@ GOOD_HEADER = '# {"Q": 32, "c": 0.5, "d": 1, "n": 1024, "rho": 0.03125}'
 def test_measure_xn_missing_file_exit_2(capsys, tmp_path):
     code, _ = run(capsys, "measure-xn", "--in", str(tmp_path / "absent.csv"))
     assert code == 2
+
+
+def test_measure_xn_directory_exit_2(capsys, tmp_path):
+    code, out, err = run_err(capsys, "measure-xn", "--in", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("rows_before", [0, 20_000])
+def test_measure_xn_invalid_utf8_exit_2(capsys, tmp_path, rows_before):
+    # past the first few kilobytes the bad byte is decoded inside np.loadtxt
+    path = tmp_path / "xn.csv"
+    path.write_bytes((GOOD_HEADER + "\nq,b0\n" + "37,5\n" * rows_before).encode() + b"41,\xff\n")
+    code, out, err = run_err(capsys, "measure-xn", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert "cannot read" in err
 
 
 def test_measure_xn_header_without_n_exit_2(capsys, tmp_path):
@@ -515,6 +568,37 @@ def test_measure_xn_samples_over_guard_exit_3(capsys, tmp_path):
     code, out = run(capsys, "measure-xn", "--in", path, "--method", "montecarlo",
                     "--samples", str(divset.MC_SAMPLE_GUARD + 1))
     assert code == 3 and out == ""
+
+
+def test_measure_xn_negative_seed_exit_2(capsys, tmp_path):
+    path = _xn_file(tmp_path, GOOD_HEADER)
+    base = ["measure-xn", "--in", path, "--method", "montecarlo", "--samples", "1000"]
+    assert run(capsys, *base, "--seed=0")[0] == 0
+    code, out, err = run_err(capsys, *base, "--seed=-1")
+    assert code == 2 and out == "" and "seed" in err
+
+
+def test_xn_io_peak_memory(capsys, tmp_path):
+    """The streamed writer and reader hold no whole-file text and no
+    second whole table: on the d=2 cubic at N = 1024 (J = 251 233) each
+    peak stays under a small multiple of the (J, 1 + d) int64 table."""
+    poly2 = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
+    path = str(tmp_path / "xn.csv")
+    argv = ["build-xn", "--poly", poly2, "--n", "1024", "--out", path]
+    assert dispatch(argv) == 0  # warm: imports and caches stay out of the peaks
+    table_bytes = _read_xn(path).ball_count * 3 * 8
+    assert table_bytes == 251_233 * 24
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 0
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _read_xn(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 2.0 * table_bytes, build_peak / table_bytes
+    assert read_peak < 2.5 * table_bytes, read_peak / table_bytes
 
 
 def test_build_xn_read_back_matches_built_set(capsys, tmp_path):
