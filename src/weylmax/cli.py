@@ -244,7 +244,9 @@ def cmd_build_xn(args) -> int:
 def _read_xn(path: str) -> divset.DivergenceSet:
     """The divergence set stored by build-xn, read in one pass over the
     file: the JSON header line, the lines up to the column header, then
-    the body straight from the same handle into ``np.loadtxt``."""
+    the body straight from the same handle into ``np.loadtxt``. After
+    the checks of ``from_balls``, a set with balls must have the header
+    Q = band_start(n, d) and only band primes (divset.band_primes)."""
     balls = []
     try:
         with open(path) as fh:
@@ -261,6 +263,7 @@ def _read_xn(path: str) -> divset.DivergenceSet:
             d = int(cfg["d"])
             p = poly.parse_polynomial(json.dumps(cfg["poly"])) if "poly" in cfg else None
             params = dict(N=int(cfg["n"]), d=d, rho=float(cfg["rho"]), c=float(cfg["c"]), Q=int(cfg["Q"]))
+            k = int(cfg["k"]) if "k" in cfg else None
             if columns is not None:
                 if d >= len(columns):  # before the column names, so a huge d stays cheap
                     raise InputError(f"{path}: d = {d} needs columns q,b0..b{d - 1}, got {columns}")
@@ -281,7 +284,15 @@ def _read_xn(path: str) -> divset.DivergenceSet:
         raise InputError(f"{path}: cannot read: {exc}") from exc
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: malformed divergence-set file: {exc!r}") from exc
-    return divset.from_balls(balls=balls, polynomial=p, **params)
+    x = divset.from_balls(balls=balls, polynomial=p, **params)
+    if x.primes:  # the band of a set without balls constrains nothing
+        Q = numtheory.band_start(x.N, d)
+        if x.Q != Q:
+            raise InputError(f"{path}: header Q = {x.Q} is not the band start {Q} of N = {x.N}, d = {d}")
+        outside = sorted(set(x.primes) - set(divset.band_primes(x.primes, Q, k)))
+        if outside:
+            raise InputError(f"{path}: ball primes {outside} lie outside the band [{Q}, {2 * Q}) or divide k = {k}")
+    return x
 
 
 def cmd_measure_xn(args) -> int:
@@ -329,7 +340,8 @@ def cmd_lattice_count(args) -> int:
     bound = 2 * args.bound
     if bound == int(bound):
         bound = int(bound)
-    _json_out({"count": count, "bound": bound, "ok": count <= 2 * args.bound}, args.out)
+    _json_out({"config": {**_config(args), "qp": args.qp, "bound": args.bound},
+               "count": count, "bound": bound, "ok": count <= 2 * args.bound}, args.out)
     return EXIT_OK
 
 

@@ -108,7 +108,7 @@ def build_divergence_set(
         raise ResourceError(f"band start Q = {Q}: one residue mask of Q^d = {Q**d} bytes "
                             f"exceeds guard {BITMAP_GUARD}")
     band = primes_in_band(Q, 2 * Q)
-    admissible = [q for q in band.primes if k % q != 0]
+    admissible = band_primes(band.primes, Q, k)
     dropped = sorted(set(band.primes) - set(admissible))
     if dropped:
         log.info("dropping band primes dividing the degree %d: %s", k, dropped)
@@ -118,6 +118,12 @@ def build_divergence_set(
     for q, mask in x.good_by_q.items():
         good_set_for(poly, q, c, out=mask)
     return x
+
+
+def band_primes(primes, Q: int, k: int | None) -> list[int]:
+    """The primes of X_N among ``primes``: those in the band [Q, 2Q) that
+    do not divide the symbol degree k (with k None, any degree)."""
+    return [q for q in primes if Q <= q < 2 * Q and (k is None or k % q != 0)]
 
 
 def _check_constants(c: float, rho: float) -> None:
@@ -141,13 +147,10 @@ def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes, polynomial)
 
 
 def _same_q_offsets(q: int, tau: float) -> list[int]:
-    """Offsets o in [0, q) with circle distance o/q within tau."""
+    """Offsets o in [0, q) with circle distance o/q within tau: the lines
+    k = b - b' (mod q), |k| <= tau*q, of close_fraction_pairs(q, q, .)."""
     reach = int(math.floor(tau * q + 1e-12))
-    out = {0}
-    for o in range(1, reach + 1):
-        out.add(o % q)
-        out.add(-o % q)
-    return sorted(out)
+    return sorted({k % q for k in range(-reach, reach + 1)})
 
 
 _KEY_BATCH = 1 << 20  # cross-prime candidate products per batched lookup
@@ -159,12 +162,12 @@ def overlap_pair_count(x: DivergenceSet) -> int:
 
     Same-prime blocks reduce to residue offsets: a prime's mask and its
     cyclic roll by an offset combination overlap in the pairs at that
-    offset. Cross-prime blocks use the line-by-line solver for
-    |b*q' - b'*q| <= 2*rho*q*q'/N, with one candidate pair per coordinate
-    per admissible line, multiplied across coordinates. The candidates of
-    every prime pair are stacked into one array, and the d-fold products
+    offset. Cross-prime blocks take their candidates from
+    close_fraction_pairs (|b*q' - b'*q| <= 2*rho*q*q'/N on the circle),
+    multiplied across coordinates. The candidates of every prime pair
+    are stacked into one array, and the d-fold products
     of all pairs are looked up in batches in the set's own bitmap, so the
-    cost is O(sum q^d + #products) array work plus the line solver.
+    cost is O(sum q^d + #products) array work plus the candidate lists.
     """
     tau = 2.0 * x.rho / x.N
     total = 0

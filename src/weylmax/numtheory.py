@@ -1,5 +1,6 @@
 """Primes in dyadic bands, exact modular polynomial evaluation, and
-counting of lattice pairs close to a rational line.
+the lattice pairs close to a rational line, whose points on each line
+b*qp - b'*q = k*gcd(q, qp) follow from one modular inverse.
 
 Everything here is exact integer arithmetic; floats enter only as
 thresholds (the bound A in the pair counts).
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -20,6 +21,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # eval_poly_mod_grid keeps intermediates in int64; products of two
 # residues must not wrap, so moduli are capped at 2^31 - 1.
 GRID_MODULUS_MAX = 2**31 - 1
+
+LINE_GUARD = 1 << 24  # max lattice points lattice_pair_count walks
 
 
 @dataclass(frozen=True)
@@ -145,70 +148,54 @@ def eval_poly_mod_grid(poly, comps: tuple[np.ndarray, ...], q: int) -> np.ndarra
     return acc
 
 
-def _line_points(q: int, qp: int, targets, first: int):
-    """Lattice points (b, b') with b*qp - b'*q = s for each s in targets,
-    b in [first, first + q) and b' in [first, first + qp).
-
-    Every s must be a multiple of g = gcd(q, qp). With m = q/g and
-    m' = qp/g coprime, the line s = k*g holds its points at
-    b = k * m'^(-1) (mod m), so each line is walked in steps of m.
-    """
-    g = math.gcd(q, qp)
-    m, mp = q // g, qp // g
-    inv_mp = pow(mp, -1, m) if m > 1 else 0
-    for s in targets:
-        b0 = (s // g * inv_mp - first) % m + first
-        for b in range(b0, first + q, m):
-            bp, rem = divmod(b * qp - s, q)
-            if rem == 0 and first <= bp < first + qp:
-                yield b, bp
-
-
 def lattice_pair_count(q: int, qp: int, bound: float) -> int:
     """Number of pairs 1 <= b <= q, 1 <= b' <= qp with 0 < |b*qp - b'*q| <= bound.
 
-    Walks the lines b*qp - b'*q = k*g (g = gcd(q, qp),
-    0 < |k| <= bound/g); each line carries at most g admissible points,
-    so the total is at most 2*bound. Every pair has |b*qp - b'*q| <
-    q*qp, so the bound is clamped there. Cost O(min(bound, q*qp) + log q)
-    versus the O(q*qp) exhaustive grid.
+    With g = gcd(q, qp), m = q/g and m' = qp/g, every pair lies on a line
+    b*qp - b'*q = k*g, whose points are b = k * m'^(-1) (mod m) with
+    b' = (b*m' - k)/m. Each line 0 < |k| <= bound/g holds at most g
+    admissible points, so the total is at most 2*bound. Every pair has
+    |b*qp - b'*q| < q*qp, so the bound is clamped there, and the walk
+    visits about 2*min(bound, q*qp) points: ResourceError when that
+    exceeds LINE_GUARD.
     """
     if q < 1 or qp < 1:
         raise InputError(f"moduli must be positive, got ({q}, {qp})")
     if not (math.isfinite(bound) and bound >= 0):
         raise InputError(f"bound must be finite and non-negative, got {bound}")
     g = math.gcd(q, qp)
+    m, mp = q // g, qp // g
     kmax = int(math.floor(min(bound, q * qp) / g))
-    lines = (k * g for k in range(-kmax, kmax + 1) if k)
-    return sum(1 for _ in _line_points(q, qp, lines, 1))
+    if 2 * kmax * g > LINE_GUARD:
+        raise ResourceError(f"{2 * kmax * g} lattice points to walk exceed guard {LINE_GUARD}")
+    inv = pow(mp, -1, m)
+    return sum(1 <= (b * mp - k) // m <= qp
+               for k in range(-kmax, kmax + 1) if k
+               for b in range((k * inv - 1) % m + 1, q + 1, m))
 
 
 def close_fraction_pairs(q: int, qp: int, bound: float) -> list[tuple[int, int]]:
-    """Residue pairs (b, b') in [0,q) x [0,qp) whose fractions b/q and
-    b'/qp are within bound/(q*qp) of each other on the circle.
-
-    Equivalent condition: s = b*qp - b'*q satisfies |s| <= bound or
-    |s| >= q*qp - bound. Solved line by line like lattice_pair_count;
+    """Residue pairs (b, b') in [0,q) x [0,qp), sorted, whose fractions
+    b/q and b'/qp are within bound/(q*qp) of each other on the circle;
     s = 0 (coincident centers) is included.
+
+    On the circle the condition is |b*qp - B'*q| <= bound for some
+    integer B' = b' (mod qp), so the pairs are the points of the lines
+    |k| <= bound/g of lattice_pair_count with b in [0, q) and b' the
+    residue of B' = (b*m' - k)/m mod qp. While 2*bound < q*qp, distinct
+    lines give distinct pairs; past that every pair qualifies.
     """
     if q < 1 or qp < 1:
         raise InputError(f"moduli must be positive, got ({q}, {qp})")
     if not math.isfinite(bound):
         raise InputError(f"bound must be finite, got {bound}")
-    prod = q * qp
-    if 2 * bound >= prod:
+    if 2 * bound >= q * qp:
         # circle distance is at most 1/2, so every pair qualifies
         return [(b, bp) for b in range(q) for bp in range(qp)]
     g = math.gcd(q, qp)
-    targets = set()
+    m, mp = q // g, qp // g
     kmax = int(math.floor(bound / g))
-    for k in range(-kmax, kmax + 1):
-        targets.add(k * g)
-    # wrap-around band near +-q*qp
-    j = prod - int(math.floor(bound))
-    while j <= prod:
-        if j % g == 0:
-            targets.add(j)
-            targets.add(-j)
-        j += 1
-    return sorted(_line_points(q, qp, targets, 0))
+    inv = pow(mp, -1, m)
+    return sorted((b, (b * mp - k) // m % qp)
+                  for k in range(-kmax, kmax + 1)
+                  for b in range(k * inv % m, q, m))

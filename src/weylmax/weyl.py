@@ -187,26 +187,29 @@ def parseval_defect(table: WeylTable) -> float:
     return _parseval_defect(table.values, table.q)
 
 
-def _degree_report(max_mod: float, q: int, d: int, k: int) -> DeligneReport:
-    if k < 2:
-        raise InputError(f"degree must be >= 2, got {k}")
-    root = float(q) ** (d / 2)
-    bound = (k - 1) * root
-    classical = float(k - 1) ** d * root
-    return DeligneReport(
-        max_modulus=max_mod, bound=bound, ok=bool(max_mod <= bound * (1 + 1e-12)),
-        classical_bound=classical, classical_ok=bool(max_mod <= classical * (1 + 1e-12)),
-    )
+def _max_modulus(moduli: list[np.ndarray]) -> float:
+    """max|S| from the factor moduli: |S| is their outer product."""
+    return math.prod(float(m.max()) for m in moduli)
 
 
 def deligne_check(table: WeylTable, k: int) -> DeligneReport:
     """Compare max_b |S(b)| against the per-degree bound (k-1) q^(d/2)
     and the classical bound (k-1)^d q^(d/2).
 
+    max|S| comes from the factors, so a split table builds no q^d array.
     Report only; violations are the caller's to interpret. Callers are
     expected to have filtered out primes dividing k.
     """
-    return _degree_report(float(np.abs(table.values).max()), table.q, table.d, k)
+    if k < 2:
+        raise InputError(f"degree must be >= 2, got {k}")
+    max_mod = _max_modulus([np.abs(f) for f in table.factors])
+    root = float(table.q) ** (table.d / 2)
+    bound = (k - 1) * root
+    classical = float(k - 1) ** table.d * root
+    return DeligneReport(
+        max_modulus=max_mod, bound=bound, ok=bool(max_mod <= bound * (1 + 1e-12)),
+        classical_bound=classical, classical_ok=bool(max_mod <= classical * (1 + 1e-12)),
+    )
 
 
 def good_set(table: WeylTable, c: float, out: np.ndarray | None = None) -> GoodSet:
@@ -216,8 +219,8 @@ def good_set(table: WeylTable, c: float, out: np.ndarray | None = None) -> GoodS
 
     |S| is the outer product of the moduli of the table's factors, so a
     split table builds no q^d complex array. Parseval (sum |S|^2 = q^(2d))
-    bounds the density below by (1-c^2) q^d / max|S|^2, with max|S| the
-    product of the factor maxima; every set is checked against it.
+    bounds the density below by (1-c^2) q^d / max|S|^2 (_max_modulus);
+    every set is checked against it.
     """
     if not 0 < c < 1:
         raise InputError(f"threshold constant must be in (0,1), got {c}")
@@ -226,7 +229,7 @@ def good_set(table: WeylTable, c: float, out: np.ndarray | None = None) -> GoodS
     threshold = c * float(q) ** (d / 2)
     mask = np.greater_equal(reduce(np.multiply.outer, moduli), threshold, out=out)
     density = np.count_nonzero(mask) / float(q) ** d
-    max_mod = math.prod(float(m.max()) for m in moduli)
+    max_mod = _max_modulus(moduli)
     floor = (1 - c * c) * float(q) ** d
     if not density * max_mod**2 >= floor * (1 - 1e-9):
         raise InvariantError(

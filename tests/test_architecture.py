@@ -9,6 +9,8 @@
   modules read ``values`` or go through ``good_set``.
 - Only ``divset.measure`` picks a measure method: no call passes one
   as a literal.
+- Only numtheory solves lattice lines: no other module takes a modular
+  inverse (``pow(x, -1, m)``).
 """
 
 import ast
@@ -63,6 +65,13 @@ def _literal_measure_methods(path):
             yield f"{path.name}:{node.lineno} passes a measure method literal"
 
 
+def _modular_inverses(path):
+    for node in _nodes(path):
+        if _called_name(node) == "pow" and len(node.args) == 3 and isinstance(node.args[1], ast.UnaryOp) \
+                and isinstance(node.args[1].op, ast.USub):  # ast keeps -1 as USub(1)
+            yield f"{path.name}:{node.lineno} takes a modular inverse"
+
+
 def _uses_outside(owner, uses):
     assert list(uses(SRC / owner))  # the scan sees the owner's own uses
     return [use for path in sorted(SRC.glob("*.py")) if path.name != owner for use in uses(path)]
@@ -86,3 +95,10 @@ def test_no_src_call_picks_a_measure_method(tmp_path):
     assert len(list(_literal_measure_methods(probe))) == 2
     found = [use for path in sorted(SRC.glob("*.py")) for use in _literal_measure_methods(path)]
     assert found == []
+
+
+def test_only_numtheory_takes_modular_inverses(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("pow(a, -1, m)\npow(a, -k, m)\npow(a, 2, m)\npow(a, -1)\n")
+    assert len(list(_modular_inverses(probe))) == 2
+    assert _uses_outside("numtheory.py", _modular_inverses) == []

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylmax
 from weylmax import cli, divset, weyl
 from weylmax.cli import COMMANDS, _int_csv, _read_xn, build_parser, dispatch
 from weylmax.poly import parse_polynomial
@@ -46,7 +47,16 @@ def test_lattice_count_output(capsys):
     code, out = run(capsys, "lattice-count", "3", "5", "2")
     assert code == 0
     obj = json.loads(out)
+    config = obj.pop("config")
     assert obj == {"count": 4, "bound": 4, "ok": True}
+    assert config == {"version": weylmax.__version__, "q": 3, "qp": 5, "bound": 2.0}
+
+
+def test_lattice_count_guard_exit_3(capsys):
+    # about 2e12 lattice points to walk, far above numtheory.LINE_GUARD
+    code, out, err = run_err(capsys, "lattice-count", "1000003", "999983", "1e12")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource guard:")
 
 
 def test_verify_deligne_cubic(capsys):
@@ -562,6 +572,25 @@ def test_measure_xn_edited_residue_exit_2(capsys, tmp_path):
     assert f"ball (q={q}, b=({outside},))" in err
 
 
+def test_measure_xn_band_check_exit_2(capsys, tmp_path):
+    # balls build-xn could never write: a good ball at q = 3, outside the
+    # band [64, 128) of N = 512 and a divisor of k = 3; a header Q that is
+    # not the band start
+    poly2 = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
+    path = tmp_path / "xn.csv"
+    assert run(capsys, "build-xn", "--poly", poly2, "--n", "512", "--out", str(path))[0] == 0
+    text = path.read_text()
+    assert json.loads(text.splitlines()[0][2:])["Q"] == 64
+    assert run(capsys, "measure-xn", "--in", str(path))[0] == 0
+    assert weyl.good_set_for(parse_polynomial(poly2), 3, 0.5).mask[2, 2]
+    crafted = {"ball primes [3]": text + "3,2,2\r\n", "header Q = 5": text.replace('"Q": 64', '"Q": 5', 1)}
+    for reason, body in crafted.items():
+        path.write_text(body)
+        code, out, err = run_err(capsys, "measure-xn", "--in", str(path))
+        assert (code, out) == (2, ""), reason
+        assert err.startswith("input error:") and reason in err, err
+
+
 def test_measure_xn_samples_over_guard_exit_3(capsys, tmp_path):
     path = _xn_file(tmp_path, GOOD_HEADER)
     assert run(capsys, "measure-xn", "--in", path, "--method", "montecarlo", "--samples", "1000")[0] == 0
@@ -647,4 +676,6 @@ def test_python_m_weylmax():
     proc = subprocess.run([sys.executable, "-m", "weylmax", "lattice-count", "3", "5", "2"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"count": 4, "bound": 4, "ok": True}
+    obj = json.loads(proc.stdout)
+    assert {key: obj[key] for key in ("count", "bound", "ok")} == {"count": 4, "bound": 4, "ok": True}
+    assert obj["config"] == {"version": weylmax.__version__, "q": 3, "qp": 5, "bound": 2.0}

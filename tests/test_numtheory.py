@@ -149,6 +149,17 @@ def test_close_fraction_pairs_matches_brute(q, qp, bound):
     assert close_fraction_pairs(q, qp, bound) == _close_pairs_brute(q, qp, bound)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q=st.integers(1, 48), qp=st.integers(1, 48), data=st.data())
+def test_close_fraction_pairs_equals_brute(q, qp, data):
+    half = q * qp / 2
+    bound = data.draw(st.one_of(
+        st.sampled_from([0.0, half - 0.5, half, 1e9]),
+        st.fractions(0, int(half) + 1).map(float),
+    ))
+    assert close_fraction_pairs(q, qp, bound) == _close_pairs_brute(q, qp, bound)
+
+
 def test_band_start_exact_on_cubes():
     # the float formula int(N ** (2/3) + 1e-9) gives m^2 - 1 here
     for m in (10**4, 10**5, 12_345, 2**20):

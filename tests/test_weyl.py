@@ -113,6 +113,17 @@ def test_deligne_gauss_equality():
         assert abs(rep.max_modulus - rep.bound) < 1e-9
 
 
+def test_deligne_check_reads_the_factors():
+    # max|S| is the product of the factor maxima: a split table builds no q^d array
+    for p in (family_diagonal(2, 2), family_diagonal(2, 3), P_MIXED, family_power_laplacian(2, 2)):
+        for q in (5, 7, 13, 31):
+            table = weyl_table(p, q)
+            rep = deligne_check(table, p.degree())
+            assert "values" not in table.__dict__
+            want = float(np.abs(weyl_table(p, q, method="direct").values).max())
+            assert abs(rep.max_modulus - want) <= 1e-12 * want, (q, rep.max_modulus, want)
+
+
 def test_deligne_holds_d1_bands():
     quartic = IntPolynomial(1, {(4,): 1, (1,): 1})
     for p, k in ((P_CUBE, 3), (quartic, 4)):
