@@ -442,6 +442,7 @@ def _selftest_checks():
 
 
 def cmd_selftest(args) -> int:
+    print("# " + json.dumps(_config(args), sort_keys=True))
     failures = 0
     for name, check in _selftest_checks():
         try:

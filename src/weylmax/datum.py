@@ -235,13 +235,11 @@ def sobolev_norm_sq(f: Datum, s: float) -> float:
     keeps the relative error within SOBOLEV_TOL; d >= 3 recurses over
     the leading axes, part(offset, depth) summing w[i] * part(offset +
     n_i^2, depth - 1) down to _row_sum, with len(axis)^(d-2) of them.
+    InvariantError unless the result is finite and positive: at large
+    |s| the powers overflow or underflow.
     """
-    if s == 0.0:
-        return f.l2_sq()
     w = f.axis_psi**2
     nsq = f.axis_n.astype(float) ** 2
-    if f.d == 1:
-        return float(np.sum((1.0 + nsq) ** s * w))
 
     def part(offset, depth: int) -> float:
         if depth == 2:
@@ -251,10 +249,29 @@ def sobolev_norm_sq(f: Datum, s: float) -> float:
             total += w[i] * part(offset + nsq[i], depth - 1)
         return total
 
-    return float(part(1.0, f.d))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        if s == 0.0:
+            value = f.l2_sq()
+        elif f.d == 1:
+            value = float(np.sum((1.0 + nsq) ** s * w))
+        else:
+            value = float(part(1.0, f.d))
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvariantError(
+            f"Sobolev norm^2 {value} at s = {s} (N = {f.N}, d = {f.d}) is not finite and positive")
+    return value
+
+
+def check_delta_phases(f: Datum, delta: Sequence[float]) -> None:
+    """InputError unless every phase 2 pi delta_i n of the support axis is
+    finite, checked at the largest n before any exponential is taken."""
+    n_max = float(f.axis_n.max())
+    if not all(math.isfinite(2.0 * math.pi * abs(float(di)) * n_max) for di in delta):
+        raise InputError(f"a phase 2 pi delta_i n is not finite for delta = {tuple(delta)}, n <= {n_max:.0f}")
 
 
 def _delta_phases(f: Datum, delta: Sequence[float]) -> list[np.ndarray]:
+    check_delta_phases(f, delta)
     return [np.exp(2j * np.pi * di * f.axis_n) for di in delta]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datum import Datum, RationalPoint
+from .datum import Datum, RationalPoint, check_delta_phases
 from .errors import InputError, InvariantError
 from .poly import IntPolynomial
 from .weyl import WeylTable, phase_index, roots_of_unity
@@ -78,6 +78,7 @@ def fold(f: Datum, q: int, delta) -> FoldedZ:
         raise InputError(f"delta has {len(delta)} components, datum dimension is {f.d}")
     if q >= f.N / 4:
         raise InputError(f"fold needs q < N/4, got q={q}, N={f.N}")
+    check_delta_phases(f, delta)
     axes = [fold_axis(f, q, di) for di in delta]
     z = axes[0]
     for a in axes[1:]:

@@ -152,6 +152,17 @@ def _shifted_values(
     return out
 
 
+def _log_taylor_tail(x_max: float, l1: float, d: int) -> float:
+    """log of the certified tail l1^d ((1 + eta)^d - 1) of d perturbed axis
+    folds, eta = x_max^K e^x_max / K! bounding |e(theta) - Taylor_K(theta)|
+    for |theta| <= x_max; in the log domain, so no step overflows, and
+    -inf when the tail is 0."""
+    log_eta = x_max - math.lgamma(TAYLOR_TERMS + 1) + (
+        TAYLOR_TERMS * math.log(x_max) if x_max > 0 else -math.inf)
+    y = d * (max(log_eta, 0.0) + math.log1p(math.exp(-abs(log_eta))))  # d log(1 + eta)
+    return d * math.log(l1) + y + math.log(-math.expm1(-y)) if y > 0 else -math.inf
+
+
 def solution_scan(
     poly: IntPolynomial,
     f: Datum,
@@ -207,15 +218,13 @@ def solution_scan(
             center_vals[pos] *= center
             shifted_vals[pos] *= shifted
 
-    # |e(theta) - Taylor_K(theta)| <= eta for |theta| <= x_max on every axis
     x_max = 2.0 * np.pi * budget * float(f.axis_n.max())
-    eta = x_max**TAYLOR_TERMS * math.exp(x_max) / math.factorial(TAYLOR_TERMS)
-    l1 = float(f.axis_psi.sum())
-    tail = l1**f.d * math.expm1(f.d * math.log1p(eta))
-    if tail > TAIL_REL_TOL * float(shifted_vals.min()):
+    log_tail = _log_taylor_tail(x_max, float(f.axis_psi.sum()), f.d)
+    limit = TAIL_REL_TOL * float(shifted_vals.min())
+    if not log_tail <= (math.log(limit) if limit > 0 else -math.inf):
         raise InvariantError(
-            f"Taylor tail bound {tail:.3e} exceeds {TAIL_REL_TOL} of the smallest "
-            f"shifted value {float(shifted_vals.min()):.3e} (K = {TAYLOR_TERMS})"
+            f"Taylor tail bound 10^{log_tail / math.log(10):.4g} exceeds {TAIL_REL_TOL} of the "
+            f"smallest shifted value {float(shifted_vals.min()):.3e} (K = {TAYLOR_TERMS})"
         )
 
     values = np.minimum(center_vals, shifted_vals)

@@ -1,6 +1,6 @@
-"""Primes in dyadic bands, exact modular polynomial evaluation, and
-the lattice pairs close to a rational line, whose points on each line
-b*qp - b'*q = k*gcd(q, qp) follow from one modular inverse.
+"""Primes in dyadic bands, polynomials mod q (in Python integers, or by
+one nested Horner pass over int64 grids), and the lattice pairs near a
+rational line, each line b*qp - b'*q = k*gcd(q, qp) solved by one modular inverse.
 
 Everything here is exact integer arithmetic; floats enter only as
 thresholds (the bound A in the pair counts).
@@ -18,8 +18,8 @@ from .errors import InputError, ResourceError
 # Witnesses making Miller-Rabin deterministic for n < 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# eval_poly_mod_grid keeps intermediates in int64; products of two
-# residues must not wrap, so moduli are capped at 2^31 - 1.
+# eval_poly_mod_grid works in int64: a Horner step acc * r + c of
+# residues stays below q^2 + q < 2^62 + 2^31 under this cap.
 GRID_MODULUS_MAX = 2**31 - 1
 
 LINE_GUARD = 1 << 24  # max lattice points lattice_pair_count walks
@@ -114,38 +114,37 @@ def eval_poly_mod(poly, n, q: int) -> int:
     return acc
 
 
-def _pow_mod_array(base: np.ndarray, e: int, q: int) -> np.ndarray:
-    """base**e mod q by square-and-multiply on int64 arrays."""
-    result = np.ones_like(base)
-    b = base % q
-    while e:
-        if e & 1:
-            result = result * b % q
-        e >>= 1
-        if e:
-            b = b * b % q
-    return result
+def _horner(terms: dict, comps: tuple[np.ndarray, ...], q: int):
+    """sum of c * prod_i comps[i]^e_i mod q over terms {e: c}, c in (0, q):
+    Horner in comps[0], whose coefficients, polynomials in the other
+    variables, come from the same recursion and span only the axes of
+    their own variables (a Python int when they have none)."""
+    if not comps or not terms:
+        return terms.get((), 0)
+    top = max(e[0] for e in terms)
+    rows = [{e[1:]: c for e, c in terms.items() if e[0] == i} for i in range(top + 1)]
+    acc = _horner(rows[top], comps[1:], q)
+    for row in reversed(rows[:top]):
+        acc = acc * comps[0] + _horner(row, comps[1:], q) if row else acc * comps[0]
+        acc %= q
+    return acc
 
 
-def eval_poly_mod_grid(poly, comps: tuple[np.ndarray, ...], q: int) -> np.ndarray:
-    """Vectorized P(n) mod q over broadcastable int64 coordinate arrays.
-
-    Exact as long as q <= 2^31 - 1 (residue products stay below 2^62).
-    """
+def eval_poly_mod_grid(poly, comps: tuple[np.ndarray, ...], q: int, b=()) -> np.ndarray:
+    """(P(n) + b.n) mod q over broadcastable int64 coordinate arrays, in
+    their full broadcast shape; b = () gives P(n) mod q alone. One nested
+    Horner pass (_horner) over the coordinates reduced mod q, b.n taken
+    as degree-one terms and every coefficient reduced mod q first."""
     if q < 2 or q > GRID_MODULUS_MAX:
         raise InputError(f"grid modulus out of range [2, 2^31-1]: {q}")
-    if len(comps) != poly.dim:
-        raise InputError(f"{len(comps)} coordinate arrays for dimension {poly.dim}")
+    if len(comps) != poly.dim or len(b) not in (0, poly.dim):
+        raise InputError(f"need {poly.dim} coordinate arrays and 0 or {poly.dim} b components")
     comps = tuple(np.asarray(c, dtype=np.int64) % q for c in comps)
+    units = {tuple(int(j == i) for j in range(poly.dim)): int(bi) % q for i, bi in enumerate(b)}
+    terms = {e: (poly.terms.get(e, 0) + units.get(e, 0)) % q for e in {*poly.terms, *units}}
+    acc = np.asarray(_horner({e: c for e, c in terms.items() if c}, comps, q), dtype=np.int64)
     shape = np.broadcast_shapes(*(c.shape for c in comps))
-    acc = np.zeros(shape, dtype=np.int64)
-    for expo, coeff in poly.terms.items():
-        t = np.full(shape, coeff % q, dtype=np.int64)
-        for c, e in zip(comps, expo):
-            if e:
-                t = t * _pow_mod_array(c, e, q) % q
-        acc = (acc + t) % q
-    return acc
+    return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
 
 
 def lattice_pair_count(q: int, qp: int, bound: float) -> int:

@@ -72,29 +72,19 @@ def roots_of_unity(q: int) -> np.ndarray:
     return out
 
 
-def _open_grid(q: int, d: int) -> tuple[np.ndarray, ...]:
-    r = np.arange(q, dtype=np.int64)
-    return tuple(r.reshape((1,) * i + (q,) + (1,) * (d - 1 - i)) for i in range(d))
-
-
 def phase_index(
     poly: IntPolynomial, b, q: int, comps: tuple[np.ndarray, ...] | None = None
 ) -> np.ndarray:
-    """(P(r) + b.r) mod q over broadcastable int64 coordinate arrays.
+    """(P(r) + b.r) mod q over broadcastable int64 coordinate arrays:
+    eval_poly_mod_grid's one Horner pass, in integers, so
+    roots_of_unity(q)[result] gives every phase e(./q) exactly.
 
     comps defaults to the full residue grid, shape (q,)*d, and b = ()
-    gives P(r) mod q alone. All arithmetic is in integers (residue
-    products stay below 2^62), so the result is exact and
-    roots_of_unity(q)[result] gives every phase e(./q).
+    gives P(r) mod q alone.
     """
     if comps is None:
-        comps = _open_grid(q, poly.dim)
-    idx = eval_poly_mod_grid(poly, comps, q)
-    for c, bi in zip(comps, b):
-        bi = int(bi) % q
-        if bi:
-            idx = (idx + bi * (np.asarray(c, dtype=np.int64) % q)) % q
-    return idx
+        comps = np.ix_(*[np.arange(q, dtype=np.int64)] * poly.dim)
+    return eval_poly_mod_grid(poly, comps, q, b)
 
 
 def weyl_sum_direct(poly: IntPolynomial, q: int, b) -> complex:

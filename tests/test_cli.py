@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from sets import good_rows
 
 P_SQ = '{"d":1,"terms":[{"e":[2],"c":1}]}'
 P_CUBE = '{"d":1,"terms":[{"e":[3],"c":1}]}'
+P_SQ2 = '{"d":2,"terms":[{"e":[2,0],"c":1},{"e":[0,2],"c":1}]}'
 
 
 def run(capsys, *argv):
@@ -41,6 +44,8 @@ def test_selftest_green(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 10
+    first = out.splitlines()[0]
+    assert first.startswith("# ") and json.loads(first[2:]) == {"version": weylmax.__version__}
 
 
 def test_lattice_count_output(capsys):
@@ -417,11 +422,66 @@ def test_ratio_experiment_non_finite_s_exit_2(capsys, s):
 def test_non_finite_delta_exit_2(capsys, command):
     base = [command, "--poly", P_SQ, "--n", "256", "--q", "17", "--b", "3"]
     assert run(capsys, *base, "--delta", "1e-5")[0] == 0
-    for delta in ("1e400", "nan", "-inf"):
-        code, out, err = run_err(capsys, *base, f"--delta={delta}")
-        assert code == 2 and out == "" and "finite" in err
+    # 1e308 is finite, but its phase 2 pi delta n is not: refused before any exponential
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for delta in ("1e400", "nan", "-inf", "1e308"):
+            code, out, err = run_err(capsys, *base, f"--delta={delta}")
+            assert code == 2 and out == "" and "finite" in err
     code, out, err = run_err(capsys, *base, "--delta", "0.5x")
     assert code == 2 and out == "" and "'0.5x'" in err
+
+
+def test_taylor_tail_overflow_exit_4(capsys):
+    # x_max = 2 pi (rho / (d N)) max(n) is about 1.3e7: e^x_max overflows a float
+    code, out, err = run_err(capsys, "ratio-experiment", "--poly", P_SQ2, "--s", "0",
+                             "--n-ladder", "512", "--rho", "1e6", "--samples", "10")
+    assert code == 4 and out == "" and "invariant violation" in err and "Taylor tail" in err
+
+
+@pytest.mark.parametrize("symbol, extra", [
+    (P_SQ, ["--n-ladder", "1024"]),
+    (P_SQ2, ["--n-ladder", "512", "--budget", "100", "--samples", "1000"]),
+])
+@pytest.mark.parametrize("s", ["400", "-400"])
+def test_sobolev_norm_out_of_range_exit_4(capsys, symbol, extra, s):
+    code, out, err = run_err(capsys, "ratio-experiment", "--poly", symbol, f"--s={s}", *extra)
+    assert code == 4 and out == "" and "invariant violation" in err and "Sobolev" in err
+
+
+NUMBERS = st.floats() | st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1e308, -1.0, 1e6, 400.0, -400.0])
+
+
+def _cli_outcome(argv):
+    """Exit code, standard output and standard error of one in-process
+    command; an uncaught exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented_outcome(code, out, err):
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code == 0:
+        assert "nan" not in out.lower() and "inf" not in out.lower(), out
+
+
+@settings(max_examples=25, deadline=None)
+@given(rho=st.floats(1e-8, 1e4) | NUMBERS, s=st.floats(-120, 120) | NUMBERS,
+       c=st.floats(0, 1, exclude_min=True, exclude_max=True) | NUMBERS)
+def test_ratio_experiment_numeric_options_end_documented(rho, s, c):
+    _assert_documented_outcome(*_cli_outcome([
+        "ratio-experiment", "--poly", P_SQ, "--n-ladder", "256", "--budget", "20",
+        "--samples", "200", f"--rho={rho!r}", f"--s={s!r}", f"--c={c!r}"]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(delta=st.floats(-1e6, 1e6) | NUMBERS, command=st.sampled_from(["solution-eval", "decompose"]))
+def test_point_delta_ends_documented(delta, command):
+    _assert_documented_outcome(*_cli_outcome([
+        command, "--poly", P_SQ, "--n", "256", "--q", "17", "--b", "3", f"--delta={delta!r}"]))
 
 
 def _xn_file(tmp_path, header: str) -> str:

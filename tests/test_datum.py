@@ -199,6 +199,37 @@ def test_sobolev_bound_above_tolerance_raises(monkeypatch):
         sobolev_norm_sq(datum_coefficients(1024, 2), 1 / 3)
 
 
+@pytest.mark.parametrize("d, n", [(1, 1024), (2, 512)])
+@pytest.mark.parametrize("s", [400.0, -400.0])
+def test_sobolev_norm_not_finite_positive_raises(d, n, s):
+    # the powers (1 + n^2)^s overflow (s = 400) or underflow to 0 (s = -400)
+    from weylmax.errors import InvariantError
+
+    with pytest.raises(InvariantError, match="not finite and positive"):
+        sobolev_norm_sq(datum_coefficients(n, d), s)
+
+
+@pytest.mark.parametrize("d, n", [(1, 1024), (2, 512)])
+def test_sobolev_norm_finite_at_s_40(d, n):
+    value = sobolev_norm_sq(datum_coefficients(n, d), 40.0)
+    assert math.isfinite(value) and value > 0
+
+
+def test_non_finite_delta_phase_refused_before_any_exponential():
+    # 2 pi 1e308 overflows to inf before it meets n: the phases would be NaN
+    import warnings
+
+    f = datum_coefficients(1024, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for run in (lambda: evaluate_solution(P_SQ, f, RationalPoint((3,), 67, (1e308,))),
+                    lambda: fold(f, 67, (1e308,))):
+            with pytest.raises(InputError, match="not finite"):
+                run()
+    # 1e300 keeps every phase finite
+    assert math.isfinite(abs(evaluate_solution(P_SQ, f, RationalPoint((3,), 67, (1e300,)))))
+
+
 def test_rational_point_normalizes_residues():
     pt = RationalPoint(b=(20,), q=17, delta=(0.0,))
     assert pt.b == (3,)

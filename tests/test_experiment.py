@@ -352,6 +352,21 @@ def test_scan_small_taylor_order_trips_tail_check(monkeypatch):
         solution_scan(P_SQ, f, x, sample_budget=50, seed=0)
 
 
+def test_log_taylor_tail_matches_the_linear_bound():
+    from weylmax.experiment import TAYLOR_TERMS, _log_taylor_tail
+
+    for d in (1, 2, 3):
+        for l1 in (1.0, 37.5, 3e4):
+            for x_max in (1e-3, 0.05, 0.39, 1.0, 7.5, 40.0, 100.0):
+                eta = x_max**TAYLOR_TERMS * math.exp(x_max) / math.factorial(TAYLOR_TERMS)
+                linear = l1**d * math.expm1(d * math.log1p(eta))
+                assert _log_taylor_tail(x_max, l1, d) == pytest.approx(math.log(linear), rel=1e-12)
+            # past about 709 the linear form overflows; the log form stays finite
+            assert math.isfinite(_log_taylor_tail(1e6, l1, d))
+            assert math.isfinite(_log_taylor_tail(1e300, l1, d))
+            assert _log_taylor_tail(0.0, l1, d) == -math.inf
+
+
 def test_scan_result_fields_are_python_scalars():
     f = datum_coefficients(1024, 1)
     x = build_divergence_set(P_SQ, 1024)

@@ -265,6 +265,59 @@ def test_phase_index_matches_scalar_oracle(d, q, data):
     assert got.tolist() == want
 
 
+def _coordinate_arrays(kind, axes):
+    """Broadcastable int64 coordinates over the given per-axis values:
+    an open grid (np.ix_, as phase_index builds its default grid) or a
+    slab (one value on axis 0, each further axis along its own
+    dimension, as datum.evaluate_solution passes them)."""
+    arrays = [np.array(a, dtype=np.int64) for a in axes]
+    if kind == "open":
+        return np.ix_(*arrays)
+    d = len(arrays)
+    head = arrays[0][:1].reshape((1,) * (d - 1))
+    return (head,) + tuple(a.reshape((1,) * i + (-1,) + (1,) * (d - 2 - i))
+                           for i, a in enumerate(arrays[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), q=st.integers(2, 2**31 - 1).map(_next_prime),
+       kind=st.sampled_from(["open", "slab"]), symbol=st.sampled_from(["any", "omit", "constant"]),
+       data=st.data())
+def test_phase_index_broadcast_shapes_match_scalar_oracle(d, q, kind, symbol, data):
+    # exponents up to 12, the degree of (X1^2 + X2^2)^6; coefficients beyond int64
+    expo = st.integers(0, 12)
+    if symbol == "omit":  # the last variable never appears
+        exps = st.tuples(*[expo] * (d - 1), st.just(0))
+    elif symbol == "constant":
+        exps = st.just((0,) * d)
+    else:
+        exps = st.tuples(*[expo] * d)
+    p = IntPolynomial(d, data.draw(st.dictionaries(exps, st.integers(-(10**25), 10**25), max_size=5)))
+    big = st.integers(-(2**62), 2**62)
+    b = data.draw(st.lists(big, min_size=d, max_size=d) | st.just([]))
+    axes = data.draw(st.lists(st.lists(big, min_size=1, max_size=4), min_size=d, max_size=d))
+    comps = _coordinate_arrays(kind, axes)
+    got = phase_index(p, b, q, comps)
+    shape = np.broadcast_shapes(*(c.shape for c in comps))
+    assert got.shape == shape and got.dtype == np.int64
+    full = [np.broadcast_to(c, shape) for c in comps]
+    for idx in np.ndindex(shape):
+        r = [int(c[idx]) for c in full]
+        want = (eval_poly_mod(p, r, q) + sum(bi * ri for bi, ri in zip(b, r))) % q
+        assert got[idx] == want
+
+
+def test_phase_index_default_grid():
+    p = family_power_laplacian(2, 2)
+    got = phase_index(p, (3, 5), 7)
+    assert got.shape == (7, 7)
+    for r in np.ndindex(7, 7):
+        assert got[r] == (eval_poly_mod(p, r, 7) + 3 * r[0] + 5 * r[1]) % 7
+    assert phase_index(IntPolynomial(2, {(0, 0): 9}), (), 7).tolist() == [[2] * 7] * 7
+    with pytest.raises(InputError):
+        phase_index(p, (1,), 7)
+
+
 def test_table_memory_guard():
     with pytest.raises(ResourceError):
         weyl_table(family_diagonal(2, 2), 65537)
