@@ -2,7 +2,8 @@
 
 Subcommands: weyl-table, verify-deligne, good-set, solution-eval,
 decompose, build-xn, measure-xn, ratio-experiment, fit, lattice-count,
-selftest. Exit codes: 0 success, 2 input error, 3 resource guard,
+selftest. Exit codes: 0 success, 1 stdout closed by its reader (a
+broken pipe, as under `| head`), 2 input error, 3 resource guard,
 4 invariant violation.
 
 Every output starts with the resolved run configuration and the package
@@ -19,6 +20,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -30,6 +32,7 @@ from . import decomp, divset, experiment, numtheory, poly, weyl
 from .errors import InputError, InvariantError, ResourceError
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
@@ -593,4 +596,12 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): point stdout at
+        # devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

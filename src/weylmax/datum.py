@@ -78,7 +78,7 @@ class Datum:
 
     N: int
     d: int
-    axis_n: np.ndarray  # integers n with N/4 < n < 2N
+    axis_n: np.ndarray  # consecutive integers n with N/4 < n < 2N
     axis_psi: np.ndarray  # psi(n/N) on axis_n, all in (0, 1]
 
     def l2_sq(self) -> float:

@@ -86,6 +86,7 @@ class FitResult:
 TAYLOR_TERMS = 20  # K: moments per axis in the perturbed fold
 TAIL_REL_TOL = 1e-12  # certified tail / smallest shifted value
 _CONTRACT_ENTRIES = 1 << 20  # per-chunk size of the d >= 2 partial contraction
+_MOMENT_ENTRIES = 1 << 16  # entries of the power table the moment folds share
 
 
 def _taylor_coeffs(delta: np.ndarray, N: int) -> np.ndarray:
@@ -94,19 +95,36 @@ def _taylor_coeffs(delta: np.ndarray, N: int) -> np.ndarray:
     return np.cumprod(np.hstack([np.ones((len(delta), 1), dtype=complex), step]), axis=1)
 
 
-def _moments(f: Datum, q: int) -> np.ndarray:
-    """(K, q) array M[j, r] = sum over n = r (mod q) of psi(n) (n/N)^j.
+def _moments(f: Datum, primes: list[int]) -> list[np.ndarray]:
+    """Per prime q, the (K, q) array M[j, r] = sum over n = r (mod q) of
+    psi(n) (n/N)^j.
 
-    Row 0 is the delta = 0 fold, accumulated in the same order as
-    fold_axis so it matches that fold bit for bit.
+    The powers psi(n) (n/N)^j depend only on the datum, so they are
+    formed once, _MOMENT_ENTRIES at most at a time: a block of j columns
+    over the support axis, framed by max(primes) zero rows on each side.
+    Each prime folds a block with one view, the rows from the largest
+    multiple of q not above axis_n[0] reshaped to (m, q, columns), and a
+    sum over m. That adds the terms of each class in order of n, as
+    fold_axis's bincount does, and zero rows add exactly, so row 0
+    matches that fold bit for bit.
     """
-    idx = (f.axis_n % q).astype(np.int64)
+    length = len(f.axis_n)
+    pad = max(primes)
     t = f.axis_n / f.N
     w = f.axis_psi.copy()
-    out = np.empty((TAYLOR_TERMS, q))
-    for j in range(TAYLOR_TERMS):
-        out[j] = np.bincount(idx, weights=w, minlength=q)
-        w *= t
+    cols = max(1, min(TAYLOR_TERMS, _MOMENT_ENTRIES // (length + 2 * pad)))
+    table = np.zeros((length + 2 * pad, cols))
+    out = [np.empty((TAYLOR_TERMS, q)) for q in primes]
+    for j0 in range(0, TAYLOR_TERMS, cols):
+        width = min(cols, TAYLOR_TERMS - j0)
+        for c in range(width):
+            table[pad : pad + length, c] = w
+            w *= t
+        for q, mom in zip(primes, out):
+            off = int(f.axis_n[0]) % q
+            m = -(-(off + length) // q)
+            block = table[pad - off : pad - off + m * q, :width].reshape(m, q, width)
+            mom[j0 : j0 + width] = block.sum(axis=0).T
     return out
 
 
@@ -152,15 +170,19 @@ def _shifted_values(
     return out
 
 
-def _log_taylor_tail(x_max: float, l1: float, d: int) -> float:
-    """log of the certified tail l1^d ((1 + eta)^d - 1) of d perturbed axis
-    folds, eta = x_max^K e^x_max / K! bounding |e(theta) - Taylor_K(theta)|
-    for |theta| <= x_max; in the log domain, so no step overflows, and
-    -inf when the tail is 0."""
+def _log_taylor_tail(x_max: float, l1: float, d: int) -> tuple[float, float]:
+    """Logs of the certified tail l1^d ((1 + eta)^d - 1) of d perturbed
+    axis folds, eta = x_max^K e^x_max / K! bounding |e(theta) -
+    Taylor_K(theta)| for |theta| <= x_max, and of its share 1 - (1 +
+    eta)^-d of (l1 (1 + eta))^d, the ceiling on every shifted value; in
+    the log domain, so no step overflows, and -inf when the tail is 0."""
     log_eta = x_max - math.lgamma(TAYLOR_TERMS + 1) + (
         TAYLOR_TERMS * math.log(x_max) if x_max > 0 else -math.inf)
     y = d * (max(log_eta, 0.0) + math.log1p(math.exp(-abs(log_eta))))  # d log(1 + eta)
-    return d * math.log(l1) + y + math.log(-math.expm1(-y)) if y > 0 else -math.inf
+    if not y > 0:
+        return -math.inf, -math.inf
+    log_share = math.log(-math.expm1(-y))
+    return d * math.log(l1) + y + log_share, log_share
 
 
 def solution_scan(
@@ -178,9 +200,11 @@ def solution_scan(
     residues lex), and sup_lb, their minimum, is a lower bound for the
     maximal function at each sampled point.
 
-    Per prime, the K Taylor moments M[j] of the folded coefficients are
-    computed once; a perturbed axis fold is sum_j (2 pi i delta_i N)^j /
-    j! M[j], whose truncation error is certified below. When no monomial
+    The K Taylor moments M[j] of the folded coefficients come from one
+    power table shared by every drawn prime (_moments); a perturbed axis
+    fold is sum_j (2 pi i delta_i N)^j / j! M[j], whose truncation error
+    is certified before the scan against the ceiling on every shifted
+    value and after it against the smallest one. When no monomial
     of the symbol mixes variables, both values of a ball are products of
     d one-dimensional values, one per axis, and no q^d grid is built:
     axis_tables(poly, q, M) gives each distinct part one K x q moment
@@ -195,19 +219,27 @@ def solution_scan(
         raise InputError("divergence set has no balls")
     if sample_budget < 1:
         raise InputError(f"sample budget must be positive, got {sample_budget}")
+    budget = x.rho / (f.d * f.N)
+    x_max = 2.0 * np.pi * budget * float(f.axis_n.max())
+    log_tail, log_share = _log_taylor_tail(x_max, float(f.axis_psi.sum()), f.d)
+    if log_share > math.log(TAIL_REL_TOL):
+        raise InvariantError(
+            f"Taylor tail bound 10^{log_tail / math.log(10):.4g} is {math.exp(log_share):.3g} "
+            f"of the ceiling on every shifted value, above {TAIL_REL_TOL} (K = {TAYLOR_TERMS})"
+        )
     rng = np.random.default_rng(seed)
     table = x.balls(np.sort(rng.choice(total, size=sample_budget, replace=False))
                     if total > sample_budget else None)
     n_chosen = len(table)
-    budget = x.rho / (f.d * f.N)
     deltas = rng.uniform(-budget, budget, size=(n_chosen, f.d))
 
     center_vals = np.ones(n_chosen)
     shifted_vals = np.ones(n_chosen)
     primes, firsts = np.unique(table[:, 0], return_index=True)
-    for q, lo, hi in zip(primes.tolist(), firsts.tolist(), [*firsts[1:].tolist(), n_chosen]):
+    primes = primes.tolist()
+    ends = [*firsts[1:].tolist(), n_chosen]
+    for q, mom, lo, hi in zip(primes, _moments(f, primes), firsts.tolist(), ends):
         pos, rows = slice(lo, hi), table[lo:hi, 1:]
-        mom = _moments(f, q)
         tables = axis_tables(poly, q, mom)
         if tables is None:
             pg = roots_of_unity(q)[phase_index(poly, (), q)]
@@ -218,8 +250,6 @@ def solution_scan(
             center_vals[pos] *= center
             shifted_vals[pos] *= shifted
 
-    x_max = 2.0 * np.pi * budget * float(f.axis_n.max())
-    log_tail = _log_taylor_tail(x_max, float(f.axis_psi.sum()), f.d)
     limit = TAIL_REL_TOL * float(shifted_vals.min())
     if not log_tail <= (math.log(limit) if limit > 0 else -math.inf):
         raise InvariantError(

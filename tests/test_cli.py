@@ -730,12 +730,56 @@ def test_measure_xn_malformed_body_exit_2(capsys, tmp_path, header, body):
     assert code == 2 and out == ""
 
 
-def test_python_m_weylmax():
+def _module_env(**extra) -> dict:
+    """Environment for `python -m weylmax` from this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_python_m_weylmax():
     proc = subprocess.run([sys.executable, "-m", "weylmax", "lattice-count", "3", "5", "2"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_module_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     obj = json.loads(proc.stdout)
     assert {key: obj[key] for key in ("count", "bound", "ok")} == {"count": 4, "bound": 4, "ok": True}
     assert obj["config"] == {"version": weylmax.__version__, "q": 3, "qp": 5, "bound": 2.0}
+
+
+def test_huge_rho_exit_4_without_runtime_warning():
+    # x_max is about 1.3e301: the tail check runs before any moment or Taylor coefficient
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylmax", "ratio-experiment", "--poly", P_SQ, "--s", "0",
+         "--n-ladder", "512", "--rho", "1e300", "--samples", "10", "--budget", "100"],
+        capture_output=True, text=True, env=_module_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("invariant violation: Taylor tail bound")
+    assert "RuntimeWarning" not in proc.stderr and "nan" not in proc.stderr
+
+
+def test_stdout_closed_after_first_line_exit_1():
+    # a 636 kB table through a 64 kB pipe: the write that follows the reader's close fails
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylmax", "weyl-table", "--poly", P_SQ, "--q", "10007"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_module_env(PYTHONUNBUFFERED=""))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, "")  # no traceback
+    assert first.startswith("# {")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_selftest_into_closed_pipe_exit_1(unbuffered):
+    # buffered, the error surfaces in the flush after dispatch; unbuffered, in the first print
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "weylmax", "selftest"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=_module_env(PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")  # no traceback

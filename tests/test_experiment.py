@@ -289,7 +289,7 @@ def test_scan_shifted_values_match_exact_refold(p, n):
         rows = good_rows(x, q)[:: max(1, len(good_rows(x, q)) // 8)]
         deltas = rng.uniform(-budget, budget, size=rows.shape)
         deltas[::3] = 0.0  # the center values of the contraction path
-        mom = experiment._moments(f, q)
+        mom = experiment._moments(f, [q])[0]
         if d == 1:
             tables = axis_tables(p, q, mom)[0]
             got = experiment._axis_values(tables, rows[:, 0], deltas[:, 0], n)[1]
@@ -360,11 +360,85 @@ def test_log_taylor_tail_matches_the_linear_bound():
             for x_max in (1e-3, 0.05, 0.39, 1.0, 7.5, 40.0, 100.0):
                 eta = x_max**TAYLOR_TERMS * math.exp(x_max) / math.factorial(TAYLOR_TERMS)
                 linear = l1**d * math.expm1(d * math.log1p(eta))
-                assert _log_taylor_tail(x_max, l1, d) == pytest.approx(math.log(linear), rel=1e-12)
+                ceiling = (l1 * (1 + eta)) ** d
+                log_tail, log_share = _log_taylor_tail(x_max, l1, d)
+                assert log_tail == pytest.approx(math.log(linear), rel=1e-12)
+                assert math.exp(log_share) == pytest.approx(linear / ceiling, rel=1e-12)
             # past about 709 the linear form overflows; the log form stays finite
-            assert math.isfinite(_log_taylor_tail(1e6, l1, d))
-            assert math.isfinite(_log_taylor_tail(1e300, l1, d))
-            assert _log_taylor_tail(0.0, l1, d) == -math.inf
+            for x_max in (1e6, 1e300):
+                log_tail, log_share = _log_taylor_tail(x_max, l1, d)
+                assert math.isfinite(log_tail) and log_share == 0.0
+            assert _log_taylor_tail(0.0, l1, d) == (-math.inf, -math.inf)
+
+
+def _bincount_moments(f, q):
+    """The per-prime moment fold the shared power table replaced: K
+    np.bincount scatters over the support, kept as the oracle."""
+    import numpy as np
+
+    from weylmax.experiment import TAYLOR_TERMS
+
+    idx = (f.axis_n % q).astype(np.int64)
+    t = f.axis_n / f.N
+    w = f.axis_psi.copy()
+    out = np.empty((TAYLOR_TERMS, q))
+    for j in range(TAYLOR_TERMS):
+        out[j] = np.bincount(idx, weights=w, minlength=q)
+        w *= t
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [2048, 8192])
+@pytest.mark.parametrize("blocks", [None, 1, 3, 20])
+def test_moments_fold_equals_bincount_oracle(monkeypatch, d, n, blocks):
+    import numpy as np
+
+    from weylmax import experiment
+    from weylmax.decomp import fold_axis
+    from weylmax.numtheory import is_prime
+
+    f = datum_coefficients(n, d)
+    primes = [q for q in range(2, int(math.isqrt(n)) + 1) if is_prime(q)]
+    # axis_n[0] is 3^3 * 19 at n = 2048 and 7 * 293 at n = 8192
+    offsets = {int(f.axis_n[0]) % q for q in primes}
+    assert 0 in offsets and len(offsets) > 1
+    if blocks is not None:  # None keeps the default budget
+        height = len(f.axis_n) + 2 * max(primes)
+        # the table holds ceil(K / blocks) columns, so the K columns take `blocks` blocks
+        monkeypatch.setattr(experiment, "_MOMENT_ENTRIES", height * -(-experiment.TAYLOR_TERMS // blocks))
+    got = experiment._moments(f, primes)
+    assert len(got) == len(primes)
+    for q, mom in zip(primes, got):
+        assert mom.shape == (experiment.TAYLOR_TERMS, q)
+        assert np.array_equal(mom, _bincount_moments(f, q))
+        assert np.array_equal(mom[0], fold_axis(f, q, 0.0).real)
+
+
+def test_scan_tail_checked_before_the_moments(monkeypatch):
+    from weylmax import experiment
+    from weylmax.errors import InvariantError
+
+    f = datum_coefficients(1024, 1)
+    l1, x_scale = float(f.axis_psi.sum()), 2.0 * math.pi * float(f.axis_n.max()) / 1024
+    # rho = 0.16: the tail is above 1e-12 of the ceiling (psi_1 (1 + eta))^d on every
+    # shifted value, so the scan stops before any moment is formed
+    assert math.exp(experiment._log_taylor_tail(0.16 * x_scale, l1, 1)[1]) > experiment.TAIL_REL_TOL
+    x = build_divergence_set(P_SQ, 1024, rho=0.16)
+
+    def no_moments(*args):
+        raise AssertionError("moments formed before the tail check")
+
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "_moments", no_moments)
+        with pytest.raises(InvariantError, match="ceiling on every shifted value"):
+            solution_scan(P_SQ, f, x, sample_budget=50, seed=0)
+    # rho = 0.14: the share is below 1e-12, so only the check after the scan,
+    # against the smallest shifted value, trips
+    assert math.exp(experiment._log_taylor_tail(0.14 * x_scale, l1, 1)[1]) < experiment.TAIL_REL_TOL
+    x = build_divergence_set(P_SQ, 1024, rho=0.14)
+    with pytest.raises(InvariantError, match="smallest shifted value"):
+        solution_scan(P_SQ, f, x, sample_budget=50, seed=0)
 
 
 def test_scan_result_fields_are_python_scalars():
