@@ -66,7 +66,7 @@ def _load_poly(args) -> poly.IntPolynomial:
 
 def _config(args, p: poly.IntPolynomial | None = None) -> dict:
     cfg = {"version": __version__}
-    for key in ("q", "n", "s", "c", "rho", "seed", "budget", "samples", "threads", "method"):
+    for key in ("q", "n", "s", "c", "rho", "seed", "budget", "samples", "method"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     if p is not None:
@@ -246,10 +246,12 @@ def cmd_build_xn(args) -> int:
 
 def _read_xn(path: str) -> divset.DivergenceSet:
     """The divergence set stored by build-xn, read in one pass over the
-    file: the JSON header line, the lines up to the column header, then
-    the body straight from the same handle into ``np.loadtxt``. After
-    the checks of ``from_balls``, a set with balls must have the header
-    Q = band_start(n, d) and only band primes (divset.band_primes)."""
+    file: the JSON header line, the lines up to the column header, which
+    must be build-xn's q,b0..b{d-1}, then the body straight from the same
+    handle into ``np.loadtxt``, whose table goes to ``from_balls`` as it
+    is. After the checks of ``from_balls``, a set with balls must have
+    the header Q = band_start(n, d) and only band primes
+    (divset.band_primes)."""
     balls = []
     try:
         with open(path) as fh:
@@ -268,19 +270,15 @@ def _read_xn(path: str) -> divset.DivergenceSet:
             params = dict(N=int(cfg["n"]), d=d, rho=float(cfg["rho"]), c=float(cfg["c"]), Q=int(cfg["Q"]))
             k = int(cfg["k"]) if "k" in cfg else None
             if columns is not None:
-                if d >= len(columns):  # before the column names, so a huge d stays cheap
-                    raise InputError(f"{path}: d = {d} needs columns q,b0..b{d - 1}, got {columns}")
-                use = [columns.index(name) for name in ["q"] + [f"b{i}" for i in range(d)]]
+                # the length first, so a huge d builds no list of names
+                if len(columns) != 1 + d or columns != ["q"] + [f"b{i}" for i in range(d)]:
+                    raise InputError(f"{path}: d = {d} needs the column header q,b0..b{d - 1}, "
+                                     f"got {','.join(columns)}")
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # a header-only body
-                    table = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
-                if table.size:
-                    if table.shape[1] != len(columns):
-                        raise InputError(f"{path}: rows have {table.shape[1]} fields, "
-                                         f"the column header has {len(columns)}")
-                    # a copy only when the columns are not already q,b0.. in order
-                    balls = table[:, : 1 + d] if use == list(range(1 + d)) else table[:, use]
-                del table
+                    balls = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
+                if balls.size and balls.shape[1] != 1 + d:
+                    raise InputError(f"{path}: rows have {balls.shape[1]} fields, the column header has {1 + d}")
     except InputError:
         raise
     except (OSError, UnicodeDecodeError) as exc:
@@ -317,7 +315,7 @@ def cmd_ratio_experiment(args) -> int:
     ladder = list(_parse_list(args.n_ladder, "--n-ladder"))
     cfg = experiment.ExperimentConfig(
         c=args.c, rho=args.rho, seed=args.seed,
-        sample_budget=args.budget, mc_samples=args.samples, threads=args.threads,
+        sample_budget=args.budget, mc_samples=args.samples,
     )
     rows = experiment.ratio_experiment(p, args.s, ladder, cfg)
     header = _config(args, p)
@@ -354,7 +352,7 @@ def _selftest_checks():
     p_cube = poly.family_diagonal(1, 3)
 
     def primes_small():
-        return numtheory.primes_in_band(10, 21).primes == (11, 13, 17, 19)
+        return numtheory.primes_in_band(10, 21) == (11, 13, 17, 19)
 
     def poly_eval_mod():
         return numtheory.eval_poly_mod(p_sq, (7,), 5) == 4
@@ -526,7 +524,6 @@ def _args_ratio_experiment(sp) -> None:
     sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
     sp.add_argument("--budget", type=int, default=DEFAULTS.sample_budget)
     sp.add_argument("--samples", type=int, default=DEFAULTS.mc_samples)
-    sp.add_argument("--threads", type=int, default=DEFAULTS.threads, help="accepted for compatibility, ignored")
     _add_out(sp)
 
 

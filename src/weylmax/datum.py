@@ -26,8 +26,6 @@ SOBOLEV_TOL = 1e-14  # relative error bound of the interpolated d >= 2 Sobolev n
 _POWER_BLOCK = 1 << 16  # max powers (c + a_j)^s held at once
 _ELLIPSE_FRACTIONS = np.linspace(0.05, 0.95, 19)  # trial rho, as fractions of rho0 - 1
 
-BUMP_INTEGRAL = 1.125  # exact for this profile: 1/8 + 1/2 + 1/2
-
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
     """s(t) = g(t) / (g(t) + g(1-t)) with g(t) = exp(-1/t) for t > 0.

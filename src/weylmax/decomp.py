@@ -1,5 +1,5 @@
-"""Folding of datum coefficients over residue classes, discrete spectra,
-the main/error split of the solution at rational points, and the cyclic
+"""Folding of datum coefficients over residue classes, the main/error
+split of the solution at rational points, and the cyclic
 summation-by-parts toolkit.
 
 With zeta(n) = phi(n/N) e(delta.n), the fold is
@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datum import Datum, RationalPoint, check_delta_phases
-from .errors import InputError, InvariantError
+from .errors import InputError
 from .poly import IntPolynomial
 from .weyl import WeylTable, phase_index, roots_of_unity
-
-INVERSION_TOL = 1e-9
 
 
 @dataclass
@@ -30,19 +28,10 @@ class FoldedZ:
     q: int
     d: int
     values: np.ndarray  # shape (q,)*d
-    N: int
-    delta: tuple[float, ...]
 
     def zhat0(self) -> complex:
         """Mean of Z, the zero Fourier coefficient."""
         return complex(self.values.mean())
-
-
-@dataclass
-class SpectralZ:
-    q: int
-    d: int
-    hat: np.ndarray  # shape (q,)*d
 
 
 @dataclass(frozen=True)
@@ -83,21 +72,7 @@ def fold(f: Datum, q: int, delta) -> FoldedZ:
     z = axes[0]
     for a in axes[1:]:
         z = np.multiply.outer(z, a)
-    return FoldedZ(q=q, d=f.d, values=z, N=f.N, delta=delta)
-
-
-def spectrum(z: FoldedZ) -> SpectralZ:
-    """All discrete Fourier coefficients Zhat(l) = q^-d sum_r Z(r) e(-r.l/q).
-
-    Inverting the transform must reproduce Z to relative 1e-9.
-    """
-    hat = np.fft.fftn(z.values) / float(z.q) ** z.d
-    back = np.fft.ifftn(hat) * float(z.q) ** z.d
-    scale = float(np.abs(z.values).max()) or 1.0
-    defect = float(np.abs(back - z.values).max()) / scale
-    if defect > INVERSION_TOL:
-        raise InvariantError(f"spectrum inversion defect {defect:.3e} above {INVERSION_TOL}")
-    return SpectralZ(q=z.q, d=z.d, hat=hat)
+    return FoldedZ(q=q, d=f.d, values=z)
 
 
 def folded_eval(z: FoldedZ, poly: IntPolynomial, b) -> complex:

@@ -36,7 +36,6 @@ class DivergenceSet:
     bits: np.ndarray  # the masks of all primes end to end, ascending q
     start: dict[int, int]  # q -> offset of q's mask in bits
     good_by_q: dict[int, np.ndarray]  # q -> C-order bool view of shape (q,)*d into bits
-    polynomial: IntPolynomial | None = None
 
     @property
     def ball_count(self) -> int:
@@ -108,13 +107,13 @@ def build_divergence_set(
         raise ResourceError(f"band start Q = {Q}: one residue mask of Q^d = {Q**d} bytes "
                             f"exceeds guard {BITMAP_GUARD}")
     band = primes_in_band(Q, 2 * Q)
-    admissible = band_primes(band.primes, Q, k)
-    dropped = sorted(set(band.primes) - set(admissible))
+    admissible = band_primes(band, Q, k)
+    dropped = sorted(set(band) - set(admissible))
     if dropped:
         log.info("dropping band primes dividing the degree %d: %s", k, dropped)
     if not admissible:
         raise InputError(f"no admissible prime in [{Q}, {2*Q}) for degree {k}")
-    x = _empty_set(N, d, rho, c, Q, admissible, poly)
+    x = _empty_set(N, d, rho, c, Q, admissible)
     for q, mask in x.good_by_q.items():
         good_set_for(poly, q, c, out=mask)
     return x
@@ -133,7 +132,7 @@ def _check_constants(c: float, rho: float) -> None:
         raise InputError(f"radius constant must be finite and positive, got {rho}")
 
 
-def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes, polynomial) -> DivergenceSet:
+def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes) -> DivergenceSet:
     """A DivergenceSet over the ascending ``primes`` with every mask clear,
     the C-order masks end to end in one zeroed bitmap; ResourceError when
     they would exceed BITMAP_GUARD bytes in total (one per residue)."""
@@ -143,7 +142,7 @@ def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes, polynomial)
     bits = np.zeros(sum(sizes), dtype=bool)
     start = dict(zip(primes, itertools.accumulate(sizes, initial=0)))
     good = {q: bits[lo : lo + q**d].reshape((q,) * d) for q, lo in start.items()}
-    return DivergenceSet(N, d, rho, c, Q, bits, start, good, polynomial)
+    return DivergenceSet(N, d, rho, c, Q, bits, start, good)
 
 
 def _same_q_offsets(q: int, tau: float) -> list[int]:
@@ -377,7 +376,7 @@ def from_balls(
     for q in primes:
         if not is_prime(q):
             raise InputError(f"ball modulus q={q} is not prime")
-    x = _empty_set(N, d, rho, c, Q, primes, polynomial)
+    x = _empty_set(N, d, rho, c, Q, primes)
     bad = np.zeros(len(rows), dtype=bool)
     for b in res.T:  # one column at a time, checked before indexing: a negative residue would wrap
         bad |= b < 0

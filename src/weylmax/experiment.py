@@ -24,7 +24,7 @@ import numpy as np
 
 from .datum import Datum, datum_coefficients, sobolev_norm_sq
 from .decomp import fold_axis  # noqa: F401 -- unused; perfbench/test_perfbench.py reads experiment.fold_axis
-from .divset import DivergenceSet, build_divergence_set, measure
+from .divset import DivergenceSet, MeasureResult, build_divergence_set, measure
 from .errors import InputError, InvariantError, ResourceError
 from .poly import IntPolynomial
 from .weyl import axis_tables, phase_index, roots_of_unity
@@ -39,7 +39,7 @@ class ExperimentConfig:
     seed: int = 42
     sample_budget: int = 10_000
     mc_samples: int = 200_000
-    threads: int = 1
+    threads: int = 1  # no effect (only checked >= 1); stays while perfbench/child.py passes threads=
 
 
 @dataclass(frozen=True)
@@ -271,6 +271,19 @@ def solution_scan(
     )
 
 
+def _measure_flag(m: MeasureResult) -> str:
+    """Why a Monte Carlo measure cannot be used, or "": it counted no
+    hit, or its estimate lies outside the certified [lower_bound,
+    upper_bound]."""
+    if m.method != "montecarlo":
+        return ""
+    hits = round(m.estimate * m.samples)
+    if hits == 0 or not m.lower_bound <= m.estimate <= m.upper_bound:
+        return (f"Monte Carlo measure {m.estimate:.3e} ({hits} hits in {m.samples} samples) "
+                f"is not in the certified [{m.lower_bound:.3e}, {m.upper_bound:.3e}]")
+    return ""
+
+
 def ratio_experiment(
     poly: IntPolynomial,
     s: float,
@@ -282,7 +295,8 @@ def ratio_experiment(
     A row whose pipeline trips a resource guard is marked failed and the
     ladder continues. The ratio uses the measure minus two standard
     errors as a conservative lower bound (the exact d = 1 measure has
-    none).
+    none). A row whose Monte Carlo measure is unusable (_measure_flag)
+    keeps its values and failed = False, with the reason in fail_reason.
     """
     config = config or ExperimentConfig()
     ladder = [int(n) for n in n_ladder]
@@ -317,7 +331,7 @@ def ratio_experiment(
                 sup_lb=scan.sup_lb, hs_norm=hs, ratio=ratio,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 witness_q=scan.witness_q, witness_b=scan.witness_b,
-                witness_delta=scan.witness_delta,
+                witness_delta=scan.witness_delta, fail_reason=_measure_flag(m),
             ))
         except ResourceError as exc:
             rows.append(ExperimentRow(

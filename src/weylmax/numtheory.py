@@ -9,7 +9,6 @@ thresholds (the bound A in the pair counts).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +22,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 GRID_MODULUS_MAX = 2**31 - 1
 
 LINE_GUARD = 1 << 24  # max lattice points lattice_pair_count walks
-
-
-@dataclass(frozen=True)
-class PrimeBand:
-    """Ascending primes in the half-open interval [lo, hi)."""
-
-    lo: int
-    hi: int
-    primes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 def is_prime(n: int) -> bool:
@@ -62,8 +49,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_in_band(lo: int, hi: int) -> PrimeBand:
-    """All primes in [lo, hi) by a plain sieve of Eratosthenes."""
+def primes_in_band(lo: int, hi: int) -> tuple[int, ...]:
+    """The primes in [lo, hi), ascending, by a plain sieve of Eratosthenes."""
     if lo < 2 or lo >= hi:
         raise InputError(f"invalid prime band [{lo}, {hi}): need 2 <= lo < hi")
     sieve = np.ones(hi, dtype=bool)
@@ -72,7 +59,7 @@ def primes_in_band(lo: int, hi: int) -> PrimeBand:
         if sieve[p]:
             sieve[p * p :: p] = False
     ps = np.flatnonzero(sieve[lo:]) + lo
-    return PrimeBand(lo, hi, tuple(int(p) for p in ps))
+    return tuple(int(p) for p in ps)
 
 
 def band_start(N: int, d: int) -> int:

@@ -78,7 +78,7 @@ def test_01_parseval_identity():
     tables = 0
     for p in MATRIX:
         k = p.degree()
-        for q in primes_in_band(2, 102).primes:
+        for q in primes_in_band(2, 102):
             if k % q == 0:
                 continue
             worst = max(worst, parseval_defect(weyl_table(p, q)))
@@ -90,7 +90,7 @@ def test_01_parseval_identity():
 
 def test_02_gauss_sum_exactness():
     worst = 0.0
-    for q in primes_in_band(3, 998).primes:
+    for q in primes_in_band(3, 998):
         t = weyl_table(P_SQ, q)
         dev = float(np.abs(np.abs(t.values) - math.sqrt(q)).max()) / math.sqrt(q)
         worst = max(worst, dev)
@@ -104,7 +104,7 @@ def test_03_degree_bound_on_sums():
     classical_ok = True
     for p, qhi in ((P_CUBE, 500), (P_CUBE2, 102)):
         d = p.dim
-        for q in primes_in_band(5, qhi).primes:
+        for q in primes_in_band(5, qhi):
             if q == 3:
                 continue
             rep = deligne_check(weyl_table(p, q), 3)
@@ -125,7 +125,7 @@ def test_03_degree_bound_on_sums():
 def test_04_good_set_density():
     worst = 1.0
     for p, qhi in ((P_CUBE, 500), (P_CUBE2, 102)):
-        for q in primes_in_band(5, qhi).primes:
+        for q in primes_in_band(5, qhi):
             if q == 3:
                 continue
             gs = good_set(weyl_table(p, q), 0.5)
@@ -169,7 +169,7 @@ def test_06_decomposition_identity():
     for p, n, d in cases:
         f = datum_coefficients(n, d)
         qmax = min(n // 4 - 1, 97)
-        band = [q for q in primes_in_band(5, qmax + 1).primes]
+        band = list(primes_in_band(5, qmax + 1))
         q = int(band[rng.integers(len(band))])
         b = tuple(int(v) for v in rng.integers(0, q, size=d))
         budget = (1 / 32) / (d * n)

@@ -11,9 +11,13 @@
   as a literal.
 - Only numtheory solves lattice lines: no other module takes a modular
   inverse (``pow(x, -1, m)``).
+- Every function, class, constant and method in src has a reader in
+  src: code only the tests call does not stay.
 """
 
 import ast
+import shutil
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "weylmax"
@@ -102,3 +106,55 @@ def test_only_numtheory_takes_modular_inverses(tmp_path):
     probe.write_text("pow(a, -1, m)\npow(a, -k, m)\npow(a, 2, m)\npow(a, -1)\n")
     assert len(list(_modular_inverses(probe))) == 2
     assert _uses_outside("numtheory.py", _modular_inverses) == []
+
+
+# Definitions in src that no src code reads, each with why it stays.
+NO_SRC_READER = {
+    "divset.DivergenceSet.ball_list": "perfbench/tracer.py wraps it and counts its calls",
+}
+
+
+def _reads(node):
+    """Every name node reads: loaded names and attributes, and the names
+    of ``from ... import`` statements."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def _definitions(tree, module):
+    """(dotted name, bare name, node) of each module-level function, class
+    and constant and each method; dunders, which Python calls itself, and
+    the cmd_* handlers, which cli.dispatch finds through globals(), left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield f"{module}.{target.id}", target.id, node
+
+
+def _unread_definitions(src):
+    """Dotted names of the definitions in src whose name is read nowhere
+    in src outside their own definition."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    return [dotted for module, tree in trees.items() for dotted, name, node in _definitions(tree, module)
+            if not name.startswith("cmd_") and reads[name] == Counter(_reads(node))[name]]
+
+
+def test_every_src_name_has_a_src_reader(tmp_path):
+    probe = tmp_path / "weylmax"
+    shutil.copytree(SRC, probe)
+    with open(probe / "decomp.py", "a") as fh:
+        fh.write("\n\ndef only_tests_call_this(z):\n    return only_tests_call_this(z)\n")
+    assert _unread_definitions(probe) == ["decomp.only_tests_call_this", *NO_SRC_READER]
+    assert _unread_definitions(SRC) == list(NO_SRC_READER)

@@ -397,13 +397,6 @@ def test_ratio_experiment_bad_ladder_exit_2(capsys, ladder):
     assert code == 2 and out == "" and "--n-ladder" in err
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_ratio_experiment_threads_below_one_exit_2(capsys, threads):
-    code, out, err = run_err(capsys, "ratio-experiment", "--poly", P_SQ, "--s", "0",
-                             "--n-ladder", "1024,2048,4096", "--threads", threads)
-    assert code == 2 and out == "" and "thread" in err
-
-
 @pytest.mark.parametrize("symbol", [P_SQ, '{"d":2,"terms":[{"e":[2,0],"c":1},{"e":[0,2],"c":1}]}'],
                          ids=["d1", "d2"])
 def test_ratio_experiment_negative_seed_exit_2(capsys, symbol):
@@ -705,7 +698,7 @@ def test_build_xn_read_back_matches_built_set(capsys, tmp_path):
     assert got.bits.tobytes() == want.bits.tobytes()
 
 
-@pytest.mark.parametrize("body, j", [("b0,q\n5,37\n", 1), ("q,b0\n37, 5\n 41 ,11\n", 2),
+@pytest.mark.parametrize("body, j", [("q,b0\n37, 5\n 41 ,11\n", 2),
                                      ("q,b0\n", 0), ("", 0), ("q,b0\n\n# note\n37,5\n", 1)])
 def test_measure_xn_accepted_bodies(capsys, tmp_path, body, j):
     path = tmp_path / "xn.csv"
@@ -728,6 +721,20 @@ def test_measure_xn_malformed_body_exit_2(capsys, tmp_path, header, body):
     path.write_text(header + "\n" + body)
     code, out = run(capsys, "measure-xn", "--in", str(path))
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("header, body", [
+    (GOOD_HEADER, "b0,q\n5,37\n"),
+    ('# {"Q": 101, "c": 0.5, "d": 2, "n": 1024, "rho": 0.03125}', "b0,q,b1\n5,103,6\n"),
+    (GOOD_HEADER, "q,b0,b1\n37,5,6\n"),
+], ids=["b0,q", "b0,q,b1", "extra-column"])
+def test_measure_xn_other_column_header_exit_2(capsys, tmp_path, header, body):
+    # build-xn writes q,b0..b{d-1} and nothing else; a file in any other
+    # layout was not written by it
+    path = tmp_path / "xn.csv"
+    path.write_text(header + "\n" + body)
+    code, out, err = run_err(capsys, "measure-xn", "--in", str(path))
+    assert code == 2 and out == "" and "needs the column header q,b0" in err
 
 
 def _module_env(**extra) -> dict:

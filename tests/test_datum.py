@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from weylmax.datum import (
     BOX_GUARD,
-    BUMP_INTEGRAL,
     Datum,
     RationalPoint,
     bump,
@@ -22,6 +21,8 @@ from weylmax.errors import InputError, ResourceError
 from weylmax.numtheory import eval_poly_mod_grid
 from weylmax.poly import IntPolynomial, family_diagonal
 from weylmax.weyl import roots_of_unity
+
+BUMP_INTEGRAL = 1.125  # integral of the cutoff profile, exact: 1/8 + 1/2 + 1/2
 
 P_SQ = family_diagonal(1, 2)
 

@@ -6,11 +6,12 @@ import pytest
 
 from weylmax.datum import RationalPoint, datum_coefficients
 from weylmax.decomp import main_error_split
-from weylmax.divset import build_divergence_set
+from weylmax.divset import MeasureResult, build_divergence_set, measure
 from weylmax.errors import InputError
 from weylmax.experiment import (
     ExperimentConfig,
     ExperimentRow,
+    _measure_flag,
     fit_exponent,
     ratio_experiment,
     rows_from_csv,
@@ -24,6 +25,7 @@ from sets import good_rows
 
 P_SQ = family_diagonal(1, 2)
 P_UNEQUAL = IntPolynomial(2, {(3, 0): 1, (1, 0): 2, (0, 2): 1, (0, 0): 3})  # X1^3 + 2 X1 + X2^2 + 3
+P_SINGULAR = IntPolynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})  # (X1 + X2)^2
 
 
 def _synthetic_rows(fn, ns=(1024, 2048, 4096, 8192, 16384)):
@@ -203,6 +205,29 @@ def test_ladder_validation():
     for threads in (0, -3):
         with pytest.raises(InputError):
             ratio_experiment(P_SQ, 0.0, [256, 512, 1024], ExperimentConfig(threads=threads))
+
+
+def test_unusable_monte_carlo_row_flagged_not_failed():
+    # (X1 + X2)^2 is sparse: at seed 42 the N = 1024 estimate (4 hits)
+    # lies above the disjoint-sum upper bound, N = 2048's (1 hit) inside
+    # the certified bracket
+    flagged, inside = ratio_experiment(P_SINGULAR, 0.0, [1024, 2048], ExperimentConfig(sample_budget=200))
+    m = measure(build_divergence_set(P_SINGULAR, 1024), samples=200_000, seed=42)
+    assert m.estimate > m.upper_bound and flagged.measure == m.estimate
+    assert "(4 hits in 200000 samples) is not in the certified" in flagged.fail_reason
+    assert inside.fail_reason == ""
+    assert not flagged.failed and not inside.failed
+
+
+@pytest.mark.parametrize("estimate, method, flagged", [
+    (0.0, "montecarlo", True), (1e-6, "montecarlo", True), (3e-6, "montecarlo", False),
+    (5e-6, "montecarlo", False), (6e-6, "montecarlo", True), (1e-6, "exact", False),
+])
+def test_measure_flag(estimate, method, flagged):
+    m = MeasureResult(estimate, 0.0, method, upper_bound=5e-6, lower_bound=2e-6, overlap_pairs=9,
+                      samples=1_000_000 if method == "montecarlo" else 0)
+    assert bool(_measure_flag(m)) == flagged
+    assert ("(0 hits in 1000000 samples)" in _measure_flag(m)) == (estimate == 0.0)
 
 
 def test_rows_deterministic_and_csv_roundtrip():

@@ -30,18 +30,18 @@ def lattice_pair_count_bruteforce(q: int, qp: int, bound: float) -> int:
 
 
 def test_primes_small_band():
-    assert primes_in_band(10, 21).primes == (11, 13, 17, 19)
+    assert primes_in_band(10, 21) == (11, 13, 17, 19)
 
 
 def test_primes_tight_band():
-    assert primes_in_band(2, 3).primes == (2,)
+    assert primes_in_band(2, 3) == (2,)
 
 
 def test_primes_dyadic_band_64():
     band = primes_in_band(64, 128)
     assert len(band) == 13
-    assert band.primes[0] == 67
-    assert band.primes[-1] == 127
+    assert band[0] == 67
+    assert band[-1] == 127
 
 
 @pytest.mark.parametrize("lo,hi", [(5, 5), (10, 3), (1, 10), (0, 4)])
@@ -52,15 +52,15 @@ def test_primes_invalid_band(lo, hi):
 
 def test_primes_pass_miller_rabin():
     band = primes_in_band(2, 10_000)
-    assert all(is_prime(p) for p in band.primes)
-    composites = set(range(2, 10_000)) - set(band.primes)
+    assert all(is_prime(p) for p in band)
+    composites = set(range(2, 10_000)) - set(band)
     assert not any(is_prime(n) for n in sorted(composites)[:500])
 
 
 def test_primes_large_band_spot():
     band = primes_in_band(1_000_000, 1_001_000)
-    assert all(is_prime(p) for p in band.primes)
-    assert 1_000_003 in band.primes
+    assert all(is_prime(p) for p in band)
+    assert 1_000_003 in band
 
 
 def test_eval_poly_mod_examples():

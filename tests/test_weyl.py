@@ -77,7 +77,7 @@ def test_parseval_examples(p, q, tol):
 
 
 def test_two_path_agreement_full_matrix():
-    primes = primes_in_band(2, 102).primes
+    primes = primes_in_band(2, 102)
     for d in (1, 2):
         fams = [family_power_laplacian(d, k) for k in (1, 2, 3, 4)]
         fams += [family_diagonal(d, k) for k in (2, 3, 4)]
@@ -93,7 +93,7 @@ def test_two_path_agreement_full_matrix():
 
 
 def test_gauss_exactness_moderate_primes():
-    for q in primes_in_band(3, 200).primes:
+    for q in primes_in_band(3, 200):
         t = weyl_table(P_SQ, q)
         dev = np.abs(np.abs(t.values) - math.sqrt(q)).max()
         assert dev < 1e-9 * math.sqrt(q)
@@ -127,7 +127,7 @@ def test_deligne_check_reads_the_factors():
 def test_deligne_holds_d1_bands():
     quartic = IntPolynomial(1, {(4,): 1, (1,): 1})
     for p, k in ((P_CUBE, 3), (quartic, 4)):
-        for q in primes_in_band(5, 500).primes:
+        for q in primes_in_band(5, 500):
             if k % q == 0:
                 continue
             rep = deligne_check(weyl_table(p, q), k)
@@ -141,7 +141,7 @@ def test_good_set_gauss_density_one():
 
 
 def test_good_set_density_floor_cubic():
-    for q in primes_in_band(5, 200).primes:
+    for q in primes_in_band(5, 200):
         gs = good_set(weyl_table(P_CUBE, q), 0.5)
         assert gs.density >= (1 - 0.25) / 4
 
@@ -178,8 +178,8 @@ def test_good_set_for_matches_direct_table():
 
 
 @pytest.mark.parametrize("p, qs", [
-    pytest.param(family_diagonal(2, 2), primes_in_band(101, 202).primes, id="squares-1024"),
-    pytest.param(family_diagonal(2, 3), primes_in_band(101, 202).primes, id="cubes-1024"),
+    pytest.param(family_diagonal(2, 2), primes_in_band(101, 202), id="squares-1024"),
+    pytest.param(family_diagonal(2, 3), primes_in_band(101, 202), id="cubes-1024"),
     pytest.param(IntPolynomial(3, {(3, 0, 0): 1, (0, 2, 0): 2, (0, 0, 3): 1, (0, 0, 1): 5}),
                  (5, 7, 11, 13, 17), id="d3-split"),
 ])
@@ -202,7 +202,7 @@ def test_power_laplacian_good_sets_above_both_bounds():
     # every band prime of (X1^2+X2^2)^2 at N=1024 has max|S| above both
     # degree bounds, so only the Parseval floor checks its good set
     p = family_power_laplacian(2, 2)
-    for q in primes_in_band(band_start(1024, 2), 2 * band_start(1024, 2)).primes:
+    for q in primes_in_band(band_start(1024, 2), 2 * band_start(1024, 2)):
         direct = weyl_table(p, q, method="direct")
         rep = deligne_check(direct, p.degree())
         assert not rep.ok and not rep.classical_ok, q
