@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -99,54 +100,58 @@ def _json_out(obj: dict, out_path: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True, default=float), out_path)
 
 
-CSV_BLOCK = 1 << 15  # table rows rendered per piece of _int_csv
+CSV_BLOCK = 1 << 15  # table rows per block between a table and its CSV text
 
 
 def _int_csv(columns: list[str], table, head: str = ""):
     """The text ``csv.writer`` writes for the header ``columns`` and the
-    rows of a table of non-negative integers, one row per table row, as
-    an iterator of pieces: ``head`` and the header, then at most
-    CSV_BLOCK rows each.
-
-    The values are checked and the column widths (of each column's
-    largest value) taken from the whole table before this returns, so a
-    bad table raises before any output is opened. Each field is rendered
-    as fixed-width ASCII digits into one byte buffer reused by every
-    block, and the leading-zero pad bytes are masked out, so no Python
-    object is made per field.
-    """
+    rows of a table of non-negative integers, as the pieces of
+    ``_int_csv_blocks`` over blocks of CSV_BLOCK rows. The values are
+    checked and the column widths (of each column's largest value) taken
+    from the whole table before this returns, so a bad table raises
+    before any output is opened."""
     table = np.asarray(table, dtype=np.int64).reshape(-1, len(columns))
     if table.size and table.min() < 0:
         raise ValueError("_int_csv writes non-negative integers only")
     widths = [len(str(v)) for v in table.max(axis=0).tolist()] if table.size else []
+    blocks = (table[lo : lo + CSV_BLOCK] for lo in range(0, len(table), CSV_BLOCK))
+    return _int_csv_blocks(columns, widths, blocks, head)
 
-    def pieces():
-        yield head + ",".join(columns) + "\r\n"
-        if not table.size:
-            return
-        rows = min(len(table), CSV_BLOCK)
-        # digits of every field, a "," after each field but the last, then \r\n
-        out = np.empty((rows, sum(widths) + len(widths) + 1), dtype=np.uint8)
-        keep = np.ones(out.shape, dtype=bool)
-        digit = np.empty(rows, dtype=np.int64)  # reused: no block-sized temporary per digit
-        ends = np.cumsum([w + 1 for w in widths], dtype=np.int64) - 1
-        out[:, ends] = ord(",")
-        out[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-        for lo in range(0, len(table), CSV_BLOCK):
-            block = table[lo : lo + CSV_BLOCK]
-            o, kept, dig = out[: len(block)], keep[: len(block)], digit[: len(block)]
-            pos = 0
-            for col, width in zip(block.T, widths):
-                for k in range(width):  # one scalar divisor per digit
-                    power = 10 ** (width - 1 - k)
-                    np.remainder(np.floor_divide(col, power, out=dig), 10, out=dig)
-                    np.add(dig, ord("0"), out=o[:, pos + k], casting="unsafe")
-                    if k < width - 1:
-                        np.greater_equal(col, power, out=kept[:, pos + k])
-                pos += width + 1
-            yield o[kept].tobytes().decode("ascii")
 
-    return pieces()
+def _int_csv_blocks(columns: list[str], widths: list[int], blocks, head: str = ""):
+    """``head`` and the header ``columns``, then the text ``csv.writer``
+    writes for each block of rows of non-negative integers, one piece per
+    block. Every value must have at most the ``widths`` digits of its
+    column; a wider width gives the same text.
+
+    Each field is rendered as fixed-width ASCII digits into one byte
+    buffer, reused by every block and grown only for a longer block, and
+    the leading-zero pad bytes are masked out, so no Python object is
+    made per field.
+    """
+    yield head + ",".join(columns) + "\r\n"
+    ends = np.cumsum([w + 1 for w in widths], dtype=np.int64) - 1
+    out = np.empty(0)
+    for block in blocks:
+        if len(block) > len(out):
+            out = keep = digit = o = kept = dig = None  # drop the old buffers and their views first
+            # digits of every field, a "," after each field but the last, then \r\n
+            out = np.empty((len(block), sum(widths) + len(widths) + 1), dtype=np.uint8)
+            keep = np.ones(out.shape, dtype=bool)
+            digit = np.empty(len(block), dtype=np.int64)  # reused: no block-sized temporary per digit
+            out[:, ends] = ord(",")
+            out[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+        o, kept, dig = out[: len(block)], keep[: len(block)], digit[: len(block)]
+        pos = 0
+        for col, width in zip(block.T, widths):
+            for k in range(width):  # one scalar divisor per digit
+                power = 10 ** (width - 1 - k)
+                np.remainder(np.floor_divide(col, power, out=dig), 10, out=dig)
+                np.add(dig, ord("0"), out=o[:, pos + k], casting="unsafe")
+                if k < width - 1:
+                    np.greater_equal(col, power, out=kept[:, pos + k])
+            pos += width + 1
+        yield o[kept].tobytes().decode("ascii")
 
 
 def _parse_list(text: str, name: str, kind=int) -> tuple:
@@ -240,7 +245,10 @@ def cmd_build_xn(args) -> int:
     p = _load_poly(args)
     x = divset.build_divergence_set(p, args.n, c=args.c, rho=args.rho)
     head = "# " + json.dumps({**_config(args, p), "Q": x.Q}, sort_keys=True) + "\n"
-    _emit(_int_csv(["q"] + [f"b{i}" for i in range(p.dim)], x.balls(), head), args.out)
+    # every residue is below its prime, so the largest prime's width fits every column
+    widths = [len(str(x.primes[-1]))] * (1 + p.dim)
+    blocks = x.ball_blocks(CSV_BLOCK)
+    _emit(_int_csv_blocks(["q"] + [f"b{i}" for i in range(p.dim)], widths, blocks, head), args.out)
     return EXIT_OK
 
 
@@ -248,11 +256,10 @@ def _read_xn(path: str) -> divset.DivergenceSet:
     """The divergence set stored by build-xn, read in one pass over the
     file: the JSON header line, the lines up to the column header, which
     must be build-xn's q,b0..b{d-1}, then the body straight from the same
-    handle into ``np.loadtxt``, whose table goes to ``from_balls`` as it
-    is. After the checks of ``from_balls``, a set with balls must have
-    the header Q = band_start(n, d) and only band primes
+    handle to ``from_balls``, CSV_BLOCK rows at a time (_body_blocks).
+    After the checks of ``from_balls``, a set with balls must have the
+    header Q = band_start(n, d) and only band primes
     (divset.band_primes)."""
-    balls = []
     try:
         with open(path) as fh:
             head = fh.readline().removesuffix("\n")
@@ -269,23 +276,20 @@ def _read_xn(path: str) -> divset.DivergenceSet:
             p = poly.parse_polynomial(json.dumps(cfg["poly"])) if "poly" in cfg else None
             params = dict(N=int(cfg["n"]), d=d, rho=float(cfg["rho"]), c=float(cfg["c"]), Q=int(cfg["Q"]))
             k = int(cfg["k"]) if "k" in cfg else None
+            blocks = []
             if columns is not None:
                 # the length first, so a huge d builds no list of names
                 if len(columns) != 1 + d or columns != ["q"] + [f"b{i}" for i in range(d)]:
                     raise InputError(f"{path}: d = {d} needs the column header q,b0..b{d - 1}, "
                                      f"got {','.join(columns)}")
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # a header-only body
-                    balls = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
-                if balls.size and balls.shape[1] != 1 + d:
-                    raise InputError(f"{path}: rows have {balls.shape[1]} fields, the column header has {1 + d}")
+                blocks = _body_blocks(fh, path, d)
+            x = divset.from_balls(balls=blocks, polynomial=p, **params)
     except InputError:
         raise
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read: {exc}") from exc
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: malformed divergence-set file: {exc!r}") from exc
-    x = divset.from_balls(balls=balls, polynomial=p, **params)
     if x.primes:  # the band of a set without balls constrains nothing
         Q = numtheory.band_start(x.N, d)
         if x.Q != Q:
@@ -294,6 +298,37 @@ def _read_xn(path: str) -> divset.DivergenceSet:
         if outside:
             raise InputError(f"{path}: ball primes {outside} lie outside the band [{Q}, {2 * Q}) or divide k = {k}")
     return x
+
+
+def _body_blocks(fh, path: str, d: int):
+    """The body of a build-xn file from the open handle ``fh``, as (m, 1 +
+    d) int64 blocks of at most CSV_BLOCK rows, one ``np.loadtxt`` call
+    each; each call goes on where the last one stopped. A parse error
+    names the row counted from the start of the body, as one call over
+    the whole body would."""
+    done = 0
+    while True:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty block; blank lines not counted
+                block = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments="#", ndmin=2,
+                                   max_rows=CSV_BLOCK)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            text = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + done}", str(exc))
+            raise InputError(f"{path}: malformed divergence-set file: {ValueError(text)!r}") from exc
+        if not block.size:
+            return
+        if block.shape[1] != 1 + d:
+            if done:  # np.loadtxt found the change inside a block, so it comes with this one
+                raise InputError(f"{path}: malformed divergence-set file: body row {done + 1} has "
+                                 f"{block.shape[1]} fields, the rows before it {1 + d}")
+            raise InputError(f"{path}: rows have {block.shape[1]} fields, the column header has {1 + d}")
+        yield block
+        done += len(block)
+        if len(block) < CSV_BLOCK:
+            return
 
 
 def cmd_measure_xn(args) -> int:
@@ -332,6 +367,7 @@ def cmd_fit(args) -> int:
         "config": {"version": __version__, "in": args.infile},
         "slope": res.slope, "intercept": res.intercept, "residual": res.residual,
         "n_points": res.n_points, "log_corrected_slope": res.log_corrected_slope,
+        "set_aside": [{"N": n, "fail_reason": reason} for n, reason in res.set_aside],
     }, args.out)
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,29 @@ class DivergenceSet:
                 picked = np.flatnonzero(mask)[at[lo:hi] - start]
                 out[lo:hi, 1:] = np.stack(np.unravel_index(picked, mask.shape), axis=1)
         return out
+
+    def ball_blocks(self, rows: int):
+        """The rows of ``balls()`` in the same order, one block per window
+        of ``rows`` bitmap entries that holds a ball, so a block has at
+        most ``rows`` rows and no whole table is made. Each block is
+        column-major like ``balls()``."""
+        primes = np.array(self.primes, dtype=np.int64)
+        starts = np.array([self.start[q] for q in self.primes], dtype=np.int64)
+        for lo in range(0, len(self.bits), rows):
+            code = np.flatnonzero(self.bits[lo : lo + rows])
+            if not code.size:
+                continue
+            code += lo
+            at = np.searchsorted(starts, code, side="right") - 1
+            q = primes[at]
+            code -= starts[at]
+            out = np.empty((len(code), 1 + self.d), dtype=np.int64, order="F")
+            out[:, 0] = q
+            for i in range(self.d, 1, -1):  # the residues from the last: code = (b_0 q + b_1) q + ...
+                np.remainder(code, q, out=out[:, i])
+                code //= q
+            out[:, 1] = code
+            yield out
 
     def ball_list(self) -> list[tuple[int, tuple[int, ...]]]:
         """All (q, b) in canonical order, one Python tuple per ball."""
@@ -261,14 +285,17 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
     primes = [q for q in x.primes if x.good_by_q[q].any()]
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
+    rows = min(_MC_BLOCK, samples)  # the block buffers, made once and filled per block
+    pts_buf, x0_buf, scaled_buf, frac_buf = np.empty((rows, x.d)), np.empty(rows), np.empty(rows), np.empty(rows)
+    near_buf, hit_buf = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
     hits = 0
     done = 0
     for blk in range(n_blocks):
         size = min(_MC_BLOCK, samples - done)
-        pts = np.random.default_rng(children[blk]).random((size, x.d))
-        x0 = np.ascontiguousarray(pts[:, 0])
-        scaled, frac, near = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-        hit = np.zeros(size, dtype=bool)
+        pts = np.random.default_rng(children[blk]).random(out=pts_buf[:size])
+        x0, scaled, frac, near, hit = x0_buf[:size], scaled_buf[:size], frac_buf[:size], near_buf[:size], hit_buf[:size]
+        x0[:] = pts[:, 0]
+        hit[:] = False
         for q in primes:
             np.multiply(x0, q, out=scaled)
             np.rint(scaled, out=frac)
@@ -342,58 +369,79 @@ def measure(
 
 def from_balls(
     N: int, d: int, rho: float, c: float, Q: int,
-    balls: np.ndarray | list[tuple[int, tuple[int, ...]]],
+    balls: np.ndarray | list[tuple[int, tuple[int, ...]]] | Iterable[np.ndarray],
     polynomial: IntPolynomial | None = None,
 ) -> DivergenceSet:
     """Rebuild a DivergenceSet from stored balls (CLI read-back).
 
-    ``balls`` is a (J, 1 + d) integer array of rows ``q, b_0 .. b_{d-1}``
-    or a list of ``(q, b)`` pairs, in any order; duplicate balls set the
-    same mask entry. The parameters must pass the checks of
-    ``build_divergence_set``, every modulus must be prime, the masks must
-    fit the resource guard and every residue must lie in [0, q). With a
-    ``polynomial``, every ball must lie in the good set of its prime.
+    ``balls`` is a (J, 1 + d) integer array of rows ``q, b_0 .. b_{d-1}``,
+    a list of ``(q, b)`` pairs, or an iterator of such arrays, the blocks
+    of one table (the CLI reader's); rows come in any order, and
+    duplicate balls set the same mask entry. Each block is folded into
+    one flat mask per prime and dropped, so no whole table is held; a
+    block that is not ascending in q is sorted by q first.
+
+    Once every block is read, the checks run in this order: the
+    parameters must pass the checks of ``build_divergence_set``, every
+    modulus must be prime, the masks must fit the resource guard, every
+    residue must lie in [0, q) and, with a ``polynomial``, every ball
+    must lie in the good set of its prime.
     """
     if N < 1 or d < 1:
         raise InputError(f"need N >= 1 and d >= 1, got N = {N}, d = {d}")
     _check_constants(c, rho)
     if polynomial is not None and polynomial.dim != d:
         raise InputError(f"polynomial dimension {polynomial.dim} does not match d = {d}")
-    if not isinstance(balls, np.ndarray):
-        balls = [(q, *b) for q, b in balls]
-    try:
-        rows = np.asarray(balls, dtype=np.int64)
-    except ValueError as exc:
-        raise InputError(f"every ball needs 1 + d = {1 + d} integers: {exc}") from exc
-    if rows.size == 0:
-        rows = rows.reshape(0, 1 + d)
-    if rows.ndim != 2 or rows.shape[1] != 1 + d:
-        raise InputError(f"balls must form a (J, 1 + d) = (J, {1 + d}) array, got shape {rows.shape}")
-    qs, res = rows[:, 0], rows[:, 1:]
-    ordered = np.sort(qs)  # sort, not np.unique: numpy 2's hashing unique is slower on few distinct q
-    primes = ordered[np.diff(ordered, prepend=ordered[:1] - 1) != 0].tolist()
-    del ordered
-    for q in primes:
-        if not is_prime(q):
-            raise InputError(f"ball modulus q={q} is not prime")
+    if isinstance(balls, np.ndarray):
+        balls = [balls]
+    elif isinstance(balls, list):
+        balls = [[(q, *b) for q, b in balls]]
+    ranges: dict[int, list[int]] = {}  # q -> [smallest, largest] residue of its rows
+    composite: set[int] = set()
+    masks: dict[int, np.ndarray] | None = {}  # prime -> flat mask; None once sum q^d passes the guard
+    size = 0
+    for block in balls:
+        rows = _ball_rows(block, d)
+        if not len(rows):
+            continue
+        if (rows[1:, 0] < rows[:-1, 0]).any():  # one Python step per run of a prime below
+            rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        qs, res = rows[:, 0], rows[:, 1:]
+        firsts = np.flatnonzero(np.concatenate(([True], qs[1:] != qs[:-1])))
+        ends = [*firsts[1:].tolist(), len(qs)]
+        # per run of one prime, the smallest and largest residue (column by column: fast on strides)
+        lows = np.min([np.minimum.reduceat(col, firsts) for col in res.T], axis=0).tolist()
+        highs = np.max([np.maximum.reduceat(col, firsts) for col in res.T], axis=0).tolist()
+        for q, lo, hi, a, b in zip(qs[firsts].tolist(), lows, highs, firsts.tolist(), ends):
+            if q in ranges:
+                ranges[q] = [min(ranges[q][0], lo), max(ranges[q][1], hi)]
+            else:
+                ranges[q] = [lo, hi]
+                if not is_prime(q):
+                    composite.add(q)
+                elif masks is not None:
+                    size += q**d
+                    if size > BITMAP_GUARD:
+                        masks = None
+                    else:
+                        masks[q] = np.zeros(q**d, dtype=bool)
+            if masks is None or q not in masks or lo < 0 or hi >= q:
+                continue  # an error is raised below, after the last block
+            code = res[a:b, 0].copy()  # b_0 q^(d-1) + ... + b_{d-1}, below q^d <= BITMAP_GUARD
+            for i in range(1, d):
+                code *= q
+                code += res[a:b, i]
+            masks[q][code] = True
+    if composite:
+        raise InputError(f"ball modulus q={min(composite)} is not prime")
+    primes = sorted(ranges)
     x = _empty_set(N, d, rho, c, Q, primes)
-    bad = np.zeros(len(rows), dtype=bool)
-    for b in res.T:  # one column at a time, checked before indexing: a negative residue would wrap
-        bad |= b < 0
-        bad |= b >= qs
-    if bad.any():
-        q = int(qs[bad].min())
-        arr = res[qs == q]
-        raise InputError(f"residues for q={q} must lie in [0, {q}), got range [{arr.min()}, {arr.max()}]")
-    # flat position start[q] + (b_0 q + b_1) q + ..., in place: no (J, d) temporary
-    pos = np.searchsorted(primes, qs)
-    np.take(np.array(list(x.start.values()), dtype=np.int64), pos, out=pos)
-    code = res[:, 0].copy()
-    for i in range(1, d):
-        np.multiply(code, qs, out=code)
-        np.add(code, res[:, i], out=code)
-    np.add(pos, code, out=pos)
-    x.bits[pos] = True
+    for q in primes:
+        lo, hi = ranges[q]
+        if lo < 0 or hi >= q:
+            raise InputError(f"residues for q={q} must lie in [0, {q}), got range [{lo}, {hi}]")
+    for q in primes:  # one mask at a time into the set's bitmap, each dropped once copied
+        x.bits[x.start[q] : x.start[q] + q**d] = masks.pop(q)
     if polynomial is not None:
         for q, mask in x.good_by_q.items():
             outside = mask & ~good_set_for(polynomial, q, c).mask
@@ -401,3 +449,16 @@ def from_balls(
                 b = tuple(np.argwhere(outside)[0].tolist())
                 raise InputError(f"ball (q={q}, b={b}) is not in the good set at c={c}")
     return x
+
+
+def _ball_rows(block, d: int) -> np.ndarray:
+    """One block of balls as a (m, 1 + d) int64 array, or InputError."""
+    try:
+        rows = np.asarray(block, dtype=np.int64)
+    except ValueError as exc:
+        raise InputError(f"every ball needs 1 + d = {1 + d} integers: {exc}") from exc
+    if rows.size == 0:
+        rows = rows.reshape(0, 1 + d)
+    if rows.ndim != 2 or rows.shape[1] != 1 + d:
+        raise InputError(f"balls must form a (J, 1 + d) = (J, {1 + d}) array, got shape {rows.shape}")
+    return rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
@@ -81,12 +82,14 @@ class FitResult:
     residual: float
     n_points: int
     log_corrected_slope: float
+    set_aside: tuple[tuple[int, str], ...] = ()  # (N, fail_reason) of each flagged row left out
 
 
 TAYLOR_TERMS = 20  # K: moments per axis in the perturbed fold
 TAIL_REL_TOL = 1e-12  # certified tail / smallest shifted value
 _CONTRACT_ENTRIES = 1 << 20  # per-chunk size of the d >= 2 partial contraction
 _MOMENT_ENTRIES = 1 << 16  # entries of the power table the moment folds share
+_MOMENT_BYTES = 1 << 22  # moments of one group of primes folded from one fill of that table
 
 
 def _taylor_coeffs(delta: np.ndarray, N: int) -> np.ndarray:
@@ -126,6 +129,21 @@ def _moments(f: Datum, primes: list[int]) -> list[np.ndarray]:
             block = table[pad - off : pad - off + m * q, :width].reshape(m, q, width)
             mom[j0 : j0 + width] = block.sum(axis=0).T
     return out
+
+
+def _moment_groups(primes: list[int]) -> list[list[int]]:
+    """The primes in order, cut into runs whose (K, q) float64 moments
+    take at most _MOMENT_BYTES together (a larger prime alone), so the
+    scan holds one run's moments at a time."""
+    groups: list[list[int]] = []
+    size = 0
+    for q in primes:
+        if not groups or size + 8 * TAYLOR_TERMS * q > _MOMENT_BYTES:
+            groups.append([])
+            size = 0
+        groups[-1].append(q)
+        size += 8 * TAYLOR_TERMS * q
+    return groups
 
 
 def _axis_values(
@@ -201,7 +219,8 @@ def solution_scan(
     maximal function at each sampled point.
 
     The K Taylor moments M[j] of the folded coefficients come from one
-    power table shared by every drawn prime (_moments); a perturbed axis
+    power table shared by the drawn primes of a group (_moments), one
+    group of at most _MOMENT_BYTES of moments at a time; a perturbed axis
     fold is sum_j (2 pi i delta_i N)^j / j! M[j], whose truncation error
     is certified before the scan against the ceiling on every shifted
     value and after it against the smallest one. When no monomial
@@ -238,7 +257,8 @@ def solution_scan(
     primes, firsts = np.unique(table[:, 0], return_index=True)
     primes = primes.tolist()
     ends = [*firsts[1:].tolist(), n_chosen]
-    for q, mom, lo, hi in zip(primes, _moments(f, primes), firsts.tolist(), ends):
+    moments = itertools.chain.from_iterable(_moments(f, group) for group in _moment_groups(primes))
+    for q, mom, lo, hi in zip(primes, moments, firsts.tolist(), ends):
         pos, rows = slice(lo, hi), table[lo:hi, 1:]
         tables = axis_tables(poly, q, mom)
         if tables is None:
@@ -271,14 +291,22 @@ def solution_scan(
     )
 
 
+FLAG_SIGMAS = 4.0  # standard errors an estimate may lie outside the certified bracket
+FLAG_MIN_HITS = 10  # fewer hits give no binomial standard error to trust
+
+
 def _measure_flag(m: MeasureResult) -> str:
     """Why a Monte Carlo measure cannot be used, or "": it counted no
     hit, or its estimate lies outside the certified [lower_bound,
-    upper_bound]."""
+    upper_bound] by more than FLAG_SIGMAS standard errors or rests on
+    fewer than FLAG_MIN_HITS hits. A well-sampled estimate a standard
+    error or so outside a bracket narrower than that error is sampling
+    noise, not a fault."""
     if m.method != "montecarlo":
         return ""
     hits = round(m.estimate * m.samples)
-    if hits == 0 or not m.lower_bound <= m.estimate <= m.upper_bound:
+    slack = FLAG_SIGMAS * m.error if hits >= FLAG_MIN_HITS else 0.0
+    if hits == 0 or not m.lower_bound - slack <= m.estimate <= m.upper_bound + slack:
         return (f"Monte Carlo measure {m.estimate:.3e} ({hits} hits in {m.samples} samples) "
                 f"is not in the certified [{m.lower_bound:.3e}, {m.upper_bound:.3e}]")
     return ""
@@ -346,8 +374,15 @@ def ratio_experiment(
 
 def fit_exponent(rows) -> FitResult:
     """Least-squares slope of log(ratio) against log(N), plus the variant
-    with (1/2) log log N added back to remove the logarithmic drag."""
-    usable = [r for r in rows if not getattr(r, "failed", False) and math.isfinite(r.ratio) and r.ratio > 0]
+    with (1/2) log log N added back to remove the logarithmic drag.
+
+    Failed rows and rows without a positive finite ratio are left out; a
+    row that is neither but carries a fail_reason (a flagged Monte Carlo
+    measure) is set aside too, and named in ``set_aside``."""
+    usable, set_aside = [], []
+    for r in rows:
+        if not getattr(r, "failed", False) and math.isfinite(r.ratio) and r.ratio > 0:
+            (set_aside if getattr(r, "fail_reason", "") else usable).append(r)
     if len(usable) < 3:
         raise InputError(f"exponent fit needs >= 3 successful rows, got {len(usable)}")
     ns = sorted({r.N for r in usable})
@@ -362,6 +397,7 @@ def fit_exponent(rows) -> FitResult:
     return FitResult(
         slope=float(slope), intercept=float(intercept), residual=resid,
         n_points=len(usable), log_corrected_slope=float(slope_corr),
+        set_aside=tuple((r.N, r.fail_reason) for r in set_aside),
     )
 
 
@@ -370,7 +406,10 @@ def _fmt(x: float) -> str:
 
 
 def rows_to_csv(rows, header_obj: dict | None = None) -> str:
-    """Fixed-column CSV with a single JSON header comment line."""
+    """Fixed-column CSV with the JSON header comment line before it and,
+    after the rows, one JSON comment line ``# {"rows": [...]}`` with each
+    row's fail_reason and measure_method in row order, which the pinned
+    columns have no room for."""
     buf = io.StringIO()
     if header_obj is not None:
         buf.write("# " + json.dumps(header_obj, sort_keys=True) + "\n")
@@ -381,12 +420,18 @@ def rows_to_csv(rows, header_obj: dict | None = None) -> str:
             r.N, r.Q, r.J, _fmt(r.measure), _fmt(r.measure_err),
             _fmt(r.sup_lb), _fmt(r.hs_norm), _fmt(r.ratio), _fmt(r.wall_ms),
         ])
+    notes = [{"fail_reason": r.fail_reason, "measure_method": r.measure_method} for r in rows]
+    buf.write("# " + json.dumps({"rows": notes}, sort_keys=True) + "\n")
     return buf.getvalue()
 
 
 def rows_from_csv(text: str) -> list[ExperimentRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    reader = csv.DictReader(lines)
+    """The rows of a rows_to_csv text; a ``# {"rows": [...]}`` line after
+    the column header gives each row its fail_reason and measure_method
+    (a text without one leaves them empty)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    first = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+    reader = csv.DictReader([ln for ln in lines if not ln.startswith("#")])
     out = []
     for rec in reader:
         try:
@@ -401,4 +446,17 @@ def rows_from_csv(text: str) -> list[ExperimentRow]:
             ))
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed experiment CSV row {rec!r}: {exc}") from exc
+    for line in lines[first + 1 :]:
+        if not line.startswith("# {"):
+            continue
+        try:
+            notes = json.loads(line[2:]).get("rows")
+            if notes is None:
+                continue
+            if len(notes) != len(out):
+                raise ValueError(f"{len(notes)} notes for {len(out)} rows")
+            for row, note in zip(out, notes):
+                row.fail_reason, row.measure_method = str(note["fail_reason"]), str(note["measure_method"])
+        except (AttributeError, KeyError, ValueError, TypeError) as exc:
+            raise InputError(f"malformed experiment CSV row notes {line!r}: {exc}") from exc
     return out

@@ -150,7 +150,8 @@ def test_ratio_experiment_and_fit(capsys, tmp_path):
     lines = rows.read_text().strip().splitlines()
     assert lines[0].startswith("# {")
     assert lines[1] == "N,Q,J,measure,measure_err,sup_lb,hs_norm,ratio,wall_ms"
-    assert len(lines) == 2 + 3
+    assert len(lines) == 2 + 3 + 1  # the rows' notes follow them
+    assert json.loads(lines[-1][2:]) == {"rows": [{"fail_reason": "", "measure_method": "exact"}] * 3}
 
     code, out = run(capsys, "fit", "--in", str(rows))
     assert code == 0
@@ -255,6 +256,17 @@ def test_build_xn_blocks_match_csv_writer(capsys, tmp_path, monkeypatch):
     assert len(balls) > 7 * 3
     assert body == _csv_writer_text(["q", "b0"], balls)
     assert json.loads(head[2:])["Q"] == 32
+
+
+def test_build_xn_widths_across_digit_counts(capsys, tmp_path, monkeypatch):
+    # the band [64, 128) of N = 4096 holds 2- and 3-digit primes and 1- to 3-digit residues
+    path = tmp_path / "xn.csv"
+    balls = divset.build_divergence_set(parse_polynomial(P_SQ), 4096).balls()
+    assert balls[0, 0] < 100 <= balls[-1, 0]
+    for block in (cli.CSV_BLOCK, 7):
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        assert run(capsys, "build-xn", "--poly", P_SQ, "--n", "4096", "--out", str(path))[0] == 0
+        assert path.read_bytes().decode().partition("\n")[2] == _csv_writer_text(["q", "b0"], balls)
 
 
 def test_good_set_out_rows_match_members(capsys, tmp_path, monkeypatch):
@@ -571,6 +583,23 @@ def test_fit_repeated_n_accepted(capsys, tmp_path):
     assert json.loads(out)["n_points"] == 4
 
 
+def test_fit_names_the_rows_it_sets_aside(capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    ladder = (512, 1024, 2048, 4096)
+    body = "".join(f"{n},8,10,0.1,0,1.5,2,{n ** 0.25},1\n" for n in ladder)
+    notes = [{"fail_reason": "too few hits" if n == 1024 else "", "measure_method": "montecarlo"} for n in ladder]
+    path.write_text(FIT_COLUMNS + body)
+    code, plain = run(capsys, "fit", "--in", str(path))
+    path.write_text(FIT_COLUMNS + body + "# " + json.dumps({"rows": notes}) + "\n")
+    code, out = run(capsys, "fit", "--in", str(path))
+    assert code == 0
+    plain, obj = json.loads(plain), json.loads(out)
+    assert obj["set_aside"] == [{"N": 1024, "fail_reason": "too few hits"}] and plain["set_aside"] == []
+    assert obj["n_points"] == plain["n_points"] - 1 == 3
+    assert set(obj) == set(plain) == {"config", "slope", "intercept", "residual", "n_points",
+                                      "log_corrected_slope", "set_aside"}
+
+
 def test_measure_xn_poly_dimension_mismatch_exit_2(capsys, tmp_path):
     cfg = {"Q": 101, "c": 0.5, "d": 2, "n": 1024, "rho": 0.03125, "poly": json.loads(P_SQ)}
     path = tmp_path / "xn.csv"
@@ -661,9 +690,10 @@ def test_measure_xn_negative_seed_exit_2(capsys, tmp_path):
 
 
 def test_xn_io_peak_memory(capsys, tmp_path):
-    """The streamed writer and reader hold no whole-file text and no
-    second whole table: on the d=2 cubic at N = 1024 (J = 251 233) each
-    peak stays under a small multiple of the (J, 1 + d) int64 table."""
+    """The writer and the reader move balls in blocks of CSV_BLOCK rows
+    and hold no whole-file text and no whole table: on the d=2 cubic at
+    N = 1024 (J = 251 233) each peak stays under half the (J, 1 + d)
+    int64 table."""
     poly2 = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
     path = str(tmp_path / "xn.csv")
     argv = ["build-xn", "--poly", poly2, "--n", "1024", "--out", path]
@@ -679,8 +709,8 @@ def test_xn_io_peak_memory(capsys, tmp_path):
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert build_peak < 2.0 * table_bytes, build_peak / table_bytes
-    assert read_peak < 2.5 * table_bytes, read_peak / table_bytes
+    assert build_peak < 0.5 * table_bytes, build_peak / table_bytes
+    assert read_peak < 0.5 * table_bytes, read_peak / table_bytes
 
 
 def test_build_xn_read_back_matches_built_set(capsys, tmp_path):
@@ -735,6 +765,46 @@ def test_measure_xn_other_column_header_exit_2(capsys, tmp_path, header, body):
     path.write_text(header + "\n" + body)
     code, out, err = run_err(capsys, "measure-xn", "--in", str(path))
     assert code == 2 and out == "" and "needs the column header q,b0" in err
+
+
+def test_measure_xn_reads_blocks_like_one_table(capsys, tmp_path, monkeypatch):
+    poly2 = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
+    path = tmp_path / "xn.csv"
+    assert run(capsys, "build-xn", "--poly", poly2, "--n", "512", "--out", str(path))[0] == 0
+    want = _read_xn(str(path))
+    code, whole = run(capsys, "measure-xn", "--in", str(path))
+    monkeypatch.setattr(cli, "CSV_BLOCK", 7)
+    got = _read_xn(str(path))
+    assert got.ball_count > 7 * 3
+    assert got.start == want.start and got.bits.tobytes() == want.bits.tobytes()
+    assert (code, whole) == run(capsys, "measure-xn", "--in", str(path))
+
+
+@pytest.mark.parametrize("before, bad, row", [
+    (10, "41,5.5", "at row 10, column 2"),  # numpy counts this row from 0
+    (10, "41", "at row 11"),  # and this one from 1
+    (10, "41,3,4", "at row 11"),
+    (8, "41,3,4", "row 9"),  # the first row of a block of 4
+])
+def test_measure_xn_names_the_body_row_past_the_first_block(capsys, tmp_path, monkeypatch, before, bad, row):
+    # a comment and a blank line inside the body are not rows
+    path = tmp_path / "xn.csv"
+    path.write_text(GOOD_HEADER + "\nq,b0\n37,5\n# note\n\n" + "37,5\n" * (before - 1) + bad + "\n")
+    for block in (cli.CSV_BLOCK, 4):
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        code, out, err = run_err(capsys, "measure-xn", "--in", str(path))
+        assert (code, out) == (2, "") and row in err, (block, err)
+
+
+def test_measure_xn_guard_of_the_first_block_before_a_bad_residue_in_the_last(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "xn.csv"
+    path.write_text(GOOD_HEADER + "\nq,b0\n1000000007,5\n" + "37,5\n" * 9 + "37,999\n")
+    monkeypatch.setattr(cli, "CSV_BLOCK", 4)
+    code, out, err = run_err(capsys, "measure-xn", "--in", str(path))
+    assert (code, out) == (3, "") and "exceed guard" in err
+    path.write_text(GOOD_HEADER + "\nq,b0\n" + "37,5\n" * 9 + "37,999\n")
+    code, out, err = run_err(capsys, "measure-xn", "--in", str(path))
+    assert (code, out) == (2, "") and "got range [5, 999]" in err
 
 
 def _module_env(**extra) -> dict:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -277,6 +278,76 @@ def test_balls_at_positions_match_ball_list(x):
             x.balls([1, 0])
 
 
+@pytest.mark.parametrize("x", _decoder_sets(), ids=["d1", "d2", "d3", "empty"])
+def test_ball_blocks_cut_balls_into_bounded_blocks(x):
+    for rows in (1, 7, 1000, 1 << 15):
+        blocks = list(x.ball_blocks(rows))
+        assert all(0 < len(b) <= rows and b.flags.f_contiguous for b in blocks)
+        got = np.concatenate(blocks) if blocks else np.zeros((0, 1 + x.d), dtype=np.int64)
+        assert got.dtype == np.int64 and np.array_equal(got, x.balls())
+
+
+def _split(table, cuts):
+    """The rows of table as blocks cut at the sorted positions cuts, so
+    repeated and end cuts give empty blocks."""
+    edges = [0, *sorted(cuts), len(table)]
+    return [table[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]))
+def test_from_balls_blocks_give_the_same_bitmap(data, d):
+    primes = data.draw(st.lists(st.sampled_from([5, 7, 11, 13]), min_size=1, max_size=4, unique=True))
+    balls = data.draw(st.lists(
+        st.sampled_from(primes).flatmap(lambda q: st.tuples(st.just(q), *[st.integers(0, q - 1)] * d)),
+        min_size=1, max_size=60))
+    table = np.array(balls, dtype=np.int64)  # any order, with duplicates
+    ordered = np.unique(table, axis=0)
+    base = dict(N=64, d=d, rho=4.0, c=0.5, Q=5)
+    want = from_balls(**base, balls=ordered)
+    for rows in (table, ordered):
+        cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=6))
+        got = from_balls(**base, balls=iter(_split(rows, cuts)))
+        assert got.start == want.start
+        assert got.bits.tobytes() == want.bits.tobytes()
+
+
+def _error(**kwargs):
+    """The error from_balls raises, as (type, message)."""
+    with pytest.raises((InputError, ResourceError)) as info:
+        from_balls(**kwargs)
+    return info.type, str(info.value)
+
+
+def test_from_balls_blocks_keep_the_error_order():
+    base = dict(N=1024, d=1, rho=1 / 32, c=0.5, Q=32)
+    huge, composite = [[1_000_000_007, 5]], [[38, 5]]
+    bad_low, bad_high = [[37, 5], [37, 2]], [[37, 999], [41, 3]]
+    cases = [
+        # primality first: a composite in the last block beats the guard of the first
+        ([huge, [[37, 5]], composite], InputError, "ball modulus q=38 is not prime"),
+        # then the guard: a huge prime in the first block beats a bad residue in the last
+        ([huge, bad_low, bad_high], ResourceError, "exceed guard"),
+        # then the residue range, over every row of the smallest bad prime in every block
+        ([bad_low, [[41, 40]], bad_high], InputError, "residues for q=37 must lie in [0, 37), got range [2, 999]"),
+    ]
+    for blocks, kind, text in cases:
+        whole = np.concatenate([np.array(b, dtype=np.int64) for b in blocks])
+        assert _error(**base, balls=whole) == _error(**base, balls=iter(blocks))
+        got_kind, got_text = _error(**base, balls=iter(blocks))
+        assert got_kind is kind and text in got_text
+    # the residue range before the good-set check
+    x = build_divergence_set(P_CUBE, 1024)
+    q = x.primes[0]
+    outside = min(set(range(q)) - {int(b) for b in good_rows(x, q)[:, 0]})
+    blocks = [[[q, outside]], [[q, q]]]
+    params = dict(N=1024, d=1, rho=x.rho, c=x.c, Q=x.Q, polynomial=P_CUBE)
+    kind, text = _error(**params, balls=iter(blocks))
+    assert kind is InputError and f"got range [{outside}, {q}]" in text
+    kind, text = _error(**params, balls=iter(blocks[:1]))
+    assert kind is InputError and "is not in the good set" in text
+
+
 def test_montecarlo_agrees_with_exact_within_4_sigma():
     x = build_divergence_set(P_SQ, 1024)
     truth = measure(x, "exact").estimate
@@ -492,6 +563,22 @@ def test_montecarlo_strips_match_full_sweep(name, rho):
         got = dv._montecarlo_measure(x, samples, seed)
         assert got == _full_sweep_measure(x, samples, seed)
     assert got[0] > 0
+
+
+def test_montecarlo_buffers_made_once():
+    # the block buffers: d + 3 float64 columns (points, x0, scaled, frac) and two bool ones
+    x = build_divergence_set(family_diagonal(2, 3), 1024)
+    buffers = dv._MC_BLOCK * (8 * (x.d + 3) + 2)
+    samples = 3 * dv._MC_BLOCK + 5
+    want = dv._montecarlo_measure(x, samples, 7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert dv._montecarlo_measure(x, samples, 7) == want
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * buffers, peak / buffers  # 1.43 when each block made its own
 
 
 def test_montecarlo_strips_wrap_around():

@@ -219,6 +219,26 @@ def test_unusable_monte_carlo_row_flagged_not_failed():
     assert not flagged.failed and not inside.failed
 
 
+def test_fit_sets_the_flagged_row_aside(tmp_path):
+    # the flagged (X1 + X2)^2 row at N = 1024, seed 42, between two clean ones
+    rows = ratio_experiment(P_SINGULAR, 0.0, [1024, 2048], ExperimentConfig(sample_budget=200))
+    flagged = rows[0]
+    assert flagged.fail_reason and not flagged.failed
+    ladder = [flagged, *_synthetic_rows(lambda n: n**0.25, ns=(512, 2048, 4096))]
+    parsed = rows_from_csv(rows_to_csv(ladder, {"seed": 42}))
+    assert [(r.fail_reason, r.measure_method) for r in parsed] == \
+        [(r.fail_reason, r.measure_method) for r in ladder]
+    res = fit_exponent(parsed)
+    assert res.set_aside == ((1024, flagged.fail_reason),)
+    assert (res.n_points, res.slope) == (3, fit_exponent(ladder[1:]).slope)
+    assert fit_exponent(ladder[1:]).set_aside == ()
+    # a text without the notes line, as written before it existed, fits every row
+    bare = "\n".join(ln for ln in rows_to_csv(ladder).splitlines() if not ln.startswith("#"))
+    assert fit_exponent(rows_from_csv(bare)).n_points == 4
+    with pytest.raises(InputError, match="notes"):
+        rows_from_csv(rows_to_csv(ladder) + '# {"rows": []}\n')
+
+
 @pytest.mark.parametrize("estimate, method, flagged", [
     (0.0, "montecarlo", True), (1e-6, "montecarlo", True), (3e-6, "montecarlo", False),
     (5e-6, "montecarlo", False), (6e-6, "montecarlo", True), (1e-6, "exact", False),
@@ -228,6 +248,28 @@ def test_measure_flag(estimate, method, flagged):
                       samples=1_000_000 if method == "montecarlo" else 0)
     assert bool(_measure_flag(m)) == flagged
     assert ("(0 hits in 1000000 samples)" in _measure_flag(m)) == (estimate == 0.0)
+
+
+@pytest.mark.parametrize("estimate, error, samples, flagged", [
+    (5.3e-6, 1e-7, 10**8, False),  # 530 hits, 3 standard errors above the bracket
+    (5.5e-6, 1e-7, 10**8, True),  # 5 above
+    (1.5e-6, 1e-7, 10**8, True),  # 5 below
+    (6e-6, 1e-6, 10**6, True),  # 6 hits: outside, and too few for a standard error
+    (6e-6, 1e-6, 10**7, False),  # 60 hits, 1 standard error above
+])
+def test_measure_flag_allows_sampling_noise(estimate, error, samples, flagged):
+    m = MeasureResult(estimate, error, "montecarlo", upper_bound=5e-6, lower_bound=2e-6, overlap_pairs=9,
+                      samples=samples)
+    assert bool(_measure_flag(m)) == flagged
+
+
+def test_d2_ladder_rows_within_noise_not_flagged():
+    # seed 5, 60 000 samples: each estimate (92 to 120 hits) lies outside a bracket
+    # about 0.07 standard errors wide, by 0.11 to 0.77 of them; the fit uses every row
+    rows = ratio_experiment(family_diagonal(2, 2), 0.0, [512, 724, 1024],
+                            ExperimentConfig(sample_budget=300, mc_samples=60_000, seed=5))
+    assert [r.fail_reason for r in rows] == ["", "", ""]
+    assert fit_exponent(rows).n_points == 3
 
 
 def test_rows_deterministic_and_csv_roundtrip():
@@ -438,6 +480,37 @@ def test_moments_fold_equals_bincount_oracle(monkeypatch, d, n, blocks):
         assert mom.shape == (experiment.TAYLOR_TERMS, q)
         assert np.array_equal(mom, _bincount_moments(f, q))
         assert np.array_equal(mom[0], fold_axis(f, q, 0.0).real)
+
+
+@pytest.mark.parametrize("p, n", [(P_SQ, 2048), (family_diagonal(2, 2), 512),
+                                   (family_power_laplacian(2, 2), 512)], ids=["d1", "d2", "mixed"])
+def test_moment_groups_of_one_prime_give_the_same_scan(monkeypatch, p, n):
+    from weylmax import experiment
+
+    f = datum_coefficients(n, p.dim)
+    x = build_divergence_set(p, n)
+    assert experiment._moment_groups(x.primes) == [x.primes]  # the default budget: one group
+    want = solution_scan(p, f, x, sample_budget=400, seed=3)
+    calls = []
+    real = experiment._moments
+
+    def spy(f, primes):
+        calls.append(list(primes))
+        return real(f, primes)
+
+    monkeypatch.setattr(experiment, "_MOMENT_BYTES", 1)
+    monkeypatch.setattr(experiment, "_moments", spy)
+    assert solution_scan(p, f, x, sample_budget=400, seed=3) == want
+    assert len(calls) > 1 and all(len(group) == 1 for group in calls)
+
+
+def test_moment_groups_cut_at_the_budget(monkeypatch):
+    from weylmax import experiment
+
+    # a budget of exactly the moments of 5 and 7; 23 alone is over it
+    monkeypatch.setattr(experiment, "_MOMENT_BYTES", 8 * experiment.TAYLOR_TERMS * 12)
+    assert experiment._moment_groups([5, 7, 11, 13, 23, 3]) == [[5, 7], [11], [13], [23], [3]]
+    assert experiment._moment_groups([]) == []
 
 
 def test_scan_tail_checked_before_the_moments(monkeypatch):
