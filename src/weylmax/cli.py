@@ -103,21 +103,6 @@ def _json_out(obj: dict, out_path: str | None) -> None:
 CSV_BLOCK = 1 << 15  # table rows per block between a table and its CSV text
 
 
-def _int_csv(columns: list[str], table, head: str = ""):
-    """The text ``csv.writer`` writes for the header ``columns`` and the
-    rows of a table of non-negative integers, as the pieces of
-    ``_int_csv_blocks`` over blocks of CSV_BLOCK rows. The values are
-    checked and the column widths (of each column's largest value) taken
-    from the whole table before this returns, so a bad table raises
-    before any output is opened."""
-    table = np.asarray(table, dtype=np.int64).reshape(-1, len(columns))
-    if table.size and table.min() < 0:
-        raise ValueError("_int_csv writes non-negative integers only")
-    widths = [len(str(v)) for v in table.max(axis=0).tolist()] if table.size else []
-    blocks = (table[lo : lo + CSV_BLOCK] for lo in range(0, len(table), CSV_BLOCK))
-    return _int_csv_blocks(columns, widths, blocks, head)
-
-
 def _int_csv_blocks(columns: list[str], widths: list[int], blocks, head: str = ""):
     """``head`` and the header ``columns``, then the text ``csv.writer``
     writes for each block of rows of non-negative integers, one piece per
@@ -212,7 +197,10 @@ def cmd_good_set(args) -> int:
     }
     if args.out:
         head = "# " + json.dumps(_config(args, p), sort_keys=True) + "\n"
-        _emit(_int_csv([f"b{i}" for i in range(p.dim)], gs.members, head), args.out)
+        members = gs.members
+        blocks = (members[lo : lo + CSV_BLOCK] for lo in range(0, len(members), CSV_BLOCK))
+        widths = [len(str(args.q))] * p.dim  # every residue is below q
+        _emit(_int_csv_blocks([f"b{i}" for i in range(p.dim)], widths, blocks, head), args.out)
     _json_out(obj, None)
     return EXIT_OK
 

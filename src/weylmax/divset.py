@@ -25,6 +25,7 @@ from .weyl import good_set_for
 log = logging.getLogger(__name__)
 
 BITMAP_GUARD = 1 << 29  # max bytes of one set's bitmap, one per residue
+_WINDOW = 1 << 16  # bitmap entries per block of balls()
 
 
 @dataclass
@@ -40,54 +41,54 @@ class DivergenceSet:
 
     @property
     def ball_count(self) -> int:
-        return sum(self._counts())
+        return int(np.count_nonzero(self.bits))
 
     @property
     def primes(self) -> list[int]:
-        return sorted(self.good_by_q)
-
-    def _counts(self) -> list[int]:
-        return [int(np.count_nonzero(self.good_by_q[q])) for q in self.primes]
+        return list(self.start)
 
     def balls(self, at: np.ndarray | None = None) -> np.ndarray:
         """(m, 1 + d) int64 rows ``q, b_0 .. b_{d-1}`` of the balls at the
-        ascending canonical positions ``at`` (primes ascending, residues
-        lex: the order of the set entries of ``bits``), or of every ball.
-        Column-major (readers take whole columns); one mask decoded at a time."""
-        counts = self._counts()
-        starts = np.cumsum([0] + counts).tolist()
-        cuts = starts
-        if at is not None:
-            at = np.asarray(at, dtype=np.int64)
-            if at.size and (at[0] < 0 or at[-1] >= starts[-1] or (np.diff(at) < 0).any()):
-                raise IndexError(f"ball positions must ascend in [0, {starts[-1]})")
-            cuts = np.searchsorted(at, starts).tolist()
-        out = np.empty((cuts[-1], 1 + self.d), dtype=np.int64, order="F")
-        for q, start, lo, hi in zip(self.primes, starts, cuts, cuts[1:]):
-            mask = self.good_by_q[q]
-            out[lo:hi, 0] = q
-            if at is None:
-                out[lo:hi, 1:] = np.argwhere(mask)
-            elif hi > lo:
-                picked = np.flatnonzero(mask)[at[lo:hi] - start]
-                out[lo:hi, 1:] = np.stack(np.unravel_index(picked, mask.shape), axis=1)
+        ascending canonical positions ``at``, or of every ball: the
+        blocks of ``ball_blocks`` in one column-major table (readers take
+        whole columns)."""
+        m = self.ball_count if at is None else len(at)
+        out = np.empty((m, 1 + self.d), dtype=np.int64, order="F")
+        done = 0
+        for block in self.ball_blocks(_WINDOW, at):
+            out[done : done + len(block)] = block
+            done += len(block)
         return out
 
-    def ball_blocks(self, rows: int):
-        """The rows of ``balls()`` in the same order, one block per window
-        of ``rows`` bitmap entries that holds a ball, so a block has at
-        most ``rows`` rows and no whole table is made. Each block is
-        column-major like ``balls()``."""
-        primes = np.array(self.primes, dtype=np.int64)
-        starts = np.array([self.start[q] for q in self.primes], dtype=np.int64)
+    def ball_blocks(self, rows: int, at: np.ndarray | None = None):
+        """The rows of the balls at the ascending canonical positions
+        ``at`` (primes ascending, residues lex: the order of the set
+        entries of ``bits``), or of every ball, in that order: one block
+        per window of ``rows`` bitmap entries that holds one of them, so
+        a block has at most ``rows`` rows and no whole table is made.
+        With ``at``, each window is counted and only those holding a
+        wanted position are decoded. Each block is column-major."""
+        if at is not None:
+            at = np.asarray(at, dtype=np.int64)
+            if at.size and (at[0] < 0 or at[-1] >= self.ball_count or (np.diff(at) < 0).any()):
+                raise IndexError(f"ball positions must ascend in [0, {self.ball_count})")
+        primes, starts = np.array(list(self.start.items()), dtype=np.int64).reshape(-1, 2).T
+        seen = 0  # the balls before the window
         for lo in range(0, len(self.bits), rows):
-            code = np.flatnonzero(self.bits[lo : lo + rows])
+            window = self.bits[lo : lo + rows]
+            if at is None:
+                code = np.flatnonzero(window)
+            else:
+                n = np.count_nonzero(window)
+                first, stop = np.searchsorted(at, (seen, seen + n))
+                code = np.flatnonzero(window)[at[first:stop] - seen] if stop > first else at[:0]
+                seen += n
             if not code.size:
                 continue
             code += lo
-            at = np.searchsorted(starts, code, side="right") - 1
-            q = primes[at]
-            code -= starts[at]
+            k = np.searchsorted(starts, code, side="right") - 1  # each entry's prime
+            q = primes[k]
+            code -= starts[k]
             out = np.empty((len(code), 1 + self.d), dtype=np.int64, order="F")
             out[:, 0] = q
             for i in range(self.d, 1, -1):  # the residues from the last: code = (b_0 q + b_1) q + ...
@@ -245,12 +246,12 @@ def _exact_interval_measure(x: DivergenceSet) -> float:
     wrap. A sorted segment starting past the running maximum of the ends
     before it opens a component; the component lengths are added in
     order, so the sum is a sequential merge loop's bit for bit."""
-    r = x.rho / x.N
-    if 2 * r >= 1.0:
-        return 1.0
     table = x.balls()
     if not len(table):
         return 0.0
+    r = x.rho / x.N
+    if 2 * r >= 1.0:
+        return 1.0
     lo = (table[:, 1] / table[:, 0] - r) % 1.0
     hi = lo + 2 * r
     wrap = hi > 1.0
@@ -335,8 +336,9 @@ def measure(
     "exact" (d = 1 only): sorted interval merge on the circle.
     "montecarlo": hit fraction with binomial standard error. None, the
     default, takes "exact" for d = 1 and "montecarlo" otherwise. Every
-    result also carries the disjoint-sum upper bound J*(2rho/N)^d and the
-    Cauchy-Schwarz lower bound J^2*(2rho/N)^d / (ordered overlap count).
+    result also carries the disjoint-sum upper bound J*v and the
+    Cauchy-Schwarz lower bound J^2*v / (ordered overlap count), where
+    v = min(2rho/N, 1)^d is the measure of one ball on the torus.
     """
     if method is None:
         method = "exact" if x.d == 1 else "montecarlo"
@@ -352,7 +354,7 @@ def measure(
     elif seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     j = x.ball_count
-    vol = (2.0 * x.rho / x.N) ** x.d
+    vol = min(2.0 * x.rho / x.N, 1.0) ** x.d  # one ball's measure
     pairs = overlap_pair_count(x)
     ordered = 2 * pairs - j
     upper = j * vol

@@ -181,11 +181,17 @@ def test_measure_sample_guard(monkeypatch):
     assert measure(d1, samples=10**12).method == "exact"  # the exact measure draws no sample
 
 
+@pytest.mark.parametrize("balls, want", [([], 0.0), ([(37, (5,))], 1.0)], ids=["empty", "one-ball"])
+def test_exact_measure_of_balls_wider_than_the_torus(balls, want):
+    x = from_balls(N=1024, d=1, rho=600.0, c=0.5, Q=32, balls=balls)  # 2 rho / N > 1
+    m = measure(x, "exact")
+    assert m.estimate == want == _interval_union_oracle(x)
+    assert m.lower_bound <= m.estimate <= m.upper_bound == len(balls)
+
+
 def _interval_union_oracle(x):
     """Sequential merge of the sorted arcs, one Python tuple per segment."""
     r = x.rho / x.N
-    if 2 * r >= 1.0:
-        return 1.0
     segments = []
     for q in x.primes:
         for b in np.flatnonzero(x.good_by_q[q]):
@@ -198,6 +204,8 @@ def _interval_union_oracle(x):
                 segments.append((0.0, hi - 1.0))
     if not segments:
         return 0.0
+    if 2 * r >= 1.0:
+        return 1.0
     segments.sort()
     total = 0.0
     cur_lo, cur_hi = segments[0]
@@ -253,29 +261,44 @@ def _decoder_sets():
     yield from_balls(N=1024, d=2, rho=1 / 32, c=0.5, Q=101, balls=np.zeros((0, 3), dtype=np.int64))
 
 
+def _rows_oracle(x):
+    """Every ball's row q, b_0 .. b_{d-1}, prime after prime, residues lex."""
+    blocks = [np.column_stack((np.full(len(good_rows(x, q)), q), good_rows(x, q))) for q in x.primes]
+    return np.concatenate(blocks) if blocks else np.zeros((0, 1 + x.d), dtype=np.int64)
+
+
 @pytest.mark.parametrize("x", _decoder_sets(), ids=["d1", "d2", "d3", "empty"])
 def test_balls_stack_the_rows_of_each_prime(x):
-    blocks = [np.column_stack((np.full(len(good_rows(x, q)), q), good_rows(x, q))) for q in x.primes]
-    want = np.concatenate(blocks) if blocks else np.zeros((0, 1 + x.d), dtype=np.int64)
     got = x.balls()
-    assert got.dtype == np.int64 and got.shape == (x.ball_count, 1 + x.d)
-    assert np.array_equal(got, want)
+    assert got.dtype == np.int64 and got.shape == (x.ball_count, 1 + x.d) and got.flags.f_contiguous
+    assert np.array_equal(got, _rows_oracle(x))
 
 
 @pytest.mark.parametrize("x", _decoder_sets(), ids=["d1", "d2", "d3", "empty"])
-def test_balls_at_positions_match_ball_list(x):
-    balls = x.ball_list()
+def test_balls_at_positions_match_ball_list(x, monkeypatch):
+    want = _rows_oracle(x)
+    J = len(want)
+    assert x.ball_list() == [(q, tuple(b)) for q, *b in want.tolist()]
     rng = np.random.default_rng(8)
-    for size in sorted({0, 1, len(balls) // 3, len(balls)} & set(range(len(balls) + 1))):
-        at = np.sort(rng.choice(len(balls), size=size, replace=False))
-        got = x.balls(at)
-        assert got.shape == (size, 1 + x.d)
-        assert [(q, tuple(b)) for q, *b in got.tolist()] == [balls[i] for i in at]
-    with pytest.raises(IndexError):
-        x.balls([len(balls)])
-    if len(balls) > 1:
+    draws = [np.sort(rng.choice(J, size=size, replace=False)) for size in sorted({0, 1, J // 3, J} & set(range(J + 1)))]
+    flat = np.flatnonzero(x.bits)  # each ball's bitmap entry
+    default = dv._WINDOW
+    for window in (default, 1, 7):
+        monkeypatch.setattr(dv, "_WINDOW", window)
+        opens = np.flatnonzero(np.diff(flat // window)) + 1  # the balls that open a window
+        edge = int(opens[len(opens) // 2]) if len(opens) else 0
+        # the first ball, the last, a run across a window edge and a third of the balls
+        run = np.arange(max(edge - 3, 0), min(edge + 3, J))
+        mixed = [np.unique(np.concatenate(([0, J - 1], run, draws[-2])))] if J else []
+        for at in (draws + mixed if window == default else mixed):
+            got = x.balls(at)
+            assert got.shape == (len(at), 1 + x.d) and got.flags.f_contiguous
+            assert np.array_equal(got, want[at])
         with pytest.raises(IndexError):
-            x.balls([1, 0])
+            x.balls([J])
+        if J > 1:
+            with pytest.raises(IndexError):
+                x.balls([1, 0])
 
 
 @pytest.mark.parametrize("x", _decoder_sets(), ids=["d1", "d2", "d3", "empty"])
@@ -284,7 +307,7 @@ def test_ball_blocks_cut_balls_into_bounded_blocks(x):
         blocks = list(x.ball_blocks(rows))
         assert all(0 < len(b) <= rows and b.flags.f_contiguous for b in blocks)
         got = np.concatenate(blocks) if blocks else np.zeros((0, 1 + x.d), dtype=np.int64)
-        assert got.dtype == np.int64 and np.array_equal(got, x.balls())
+        assert got.dtype == np.int64 and np.array_equal(got, _rows_oracle(x))
 
 
 def _split(table, cuts):

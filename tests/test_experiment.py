@@ -86,10 +86,10 @@ def test_scan_budget_subsamples_deterministically():
 
 
 def test_scan_empty_set_rejected():
+    import numpy as np
     import weylmax.divset as dv
 
-    x = dv.from_balls(N=1024, d=1, rho=1 / 32, c=0.5, Q=32, balls=[(37, (5,))])
-    x.good_by_q = {}
+    x = dv.from_balls(N=1024, d=1, rho=1 / 32, c=0.5, Q=32, balls=np.zeros((0, 2), dtype=np.int64))
     f = datum_coefficients(1024, 1)
     with pytest.raises(InputError):
         solution_scan(P_SQ, f, x, sample_budget=10, seed=0)
