@@ -197,8 +197,10 @@ def cmd_good_set(args) -> int:
     }
     if args.out:
         head = "# " + json.dumps(_config(args, p), sort_keys=True) + "\n"
-        members = gs.members
-        blocks = (members[lo : lo + CSV_BLOCK] for lo in range(0, len(members), CSV_BLOCK))
+        flat = gs.mask.reshape(-1)
+        codes = (lo + np.flatnonzero(flat[lo : lo + CSV_BLOCK]) for lo in range(0, flat.size, CSV_BLOCK))
+        # C-order positions ascend in lex order: each window decodes to the next rows of the table
+        blocks = (np.array(np.unravel_index(code, gs.mask.shape)).T for code in codes if code.size)
         widths = [len(str(args.q))] * p.dim  # every residue is below q
         _emit(_int_csv_blocks([f"b{i}" for i in range(p.dim)], widths, blocks, head), args.out)
     _json_out(obj, None)
@@ -245,7 +247,9 @@ def _read_xn(path: str) -> divset.DivergenceSet:
     file: the JSON header line, the lines up to the column header, which
     must be build-xn's q,b0..b{d-1}, then the body straight from the same
     handle to ``from_balls``, CSV_BLOCK rows at a time (_body_blocks).
-    After the checks of ``from_balls``, a set with balls must have the
+    The header's n, d, Q and k (when present) must be JSON integers and
+    its rho and c JSON numbers, none of them a boolean. After the checks
+    of ``from_balls``, a set with balls must have the
     header Q = band_start(n, d) and only band primes
     (divset.band_primes)."""
     try:
@@ -260,10 +264,16 @@ def _read_xn(path: str) -> divset.DivergenceSet:
                     columns = [name.strip() for name in line.split(",")]
                     break
             cfg = json.loads(head[2:])
-            d = int(cfg["d"])
+            for key, kind in (("n", int), ("d", int), ("Q", int), ("k", int), ("rho", float), ("c", float)):
+                if key == "k" and key not in cfg:
+                    continue
+                if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, kind)):
+                    raise InputError(f"{path}: header {key} must be a JSON {'integer' if kind is int else 'number'}, "
+                                     f"got {cfg[key]!r}")
+            d = cfg["d"]
             p = poly.parse_polynomial(json.dumps(cfg["poly"])) if "poly" in cfg else None
-            params = dict(N=int(cfg["n"]), d=d, rho=float(cfg["rho"]), c=float(cfg["c"]), Q=int(cfg["Q"]))
-            k = int(cfg["k"]) if "k" in cfg else None
+            params = dict(N=cfg["n"], d=d, rho=float(cfg["rho"]), c=float(cfg["c"]), Q=cfg["Q"])
+            k = cfg.get("k")
             blocks = []
             if columns is not None:
                 # the length first, so a huge d builds no list of names

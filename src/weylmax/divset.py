@@ -37,7 +37,6 @@ class DivergenceSet:
     Q: int
     bits: np.ndarray  # the masks of all primes end to end, ascending q
     start: dict[int, int]  # q -> offset of q's mask in bits
-    good_by_q: dict[int, np.ndarray]  # q -> C-order bool view of shape (q,)*d into bits
 
     @property
     def ball_count(self) -> int:
@@ -46,6 +45,10 @@ class DivergenceSet:
     @property
     def primes(self) -> list[int]:
         return list(self.start)
+
+    def mask(self, q: int) -> np.ndarray:
+        """q's entries of ``bits``: its C-order mask, a view of shape (q,)*d."""
+        return self.bits[self.start[q] : self.start[q] + q**self.d].reshape((q,) * self.d)
 
     def balls(self, at: np.ndarray | None = None) -> np.ndarray:
         """(m, 1 + d) int64 rows ``q, b_0 .. b_{d-1}`` of the balls at the
@@ -139,8 +142,8 @@ def build_divergence_set(
     if not admissible:
         raise InputError(f"no admissible prime in [{Q}, {2*Q}) for degree {k}")
     x = _empty_set(N, d, rho, c, Q, admissible)
-    for q, mask in x.good_by_q.items():
-        good_set_for(poly, q, c, out=mask)
+    for q in x.primes:
+        good_set_for(poly, q, c, out=x.mask(q))
     return x
 
 
@@ -166,8 +169,7 @@ def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes) -> Divergen
         raise ResourceError(f"residue masks of sum q^d = {sum(sizes)} bytes exceed guard {BITMAP_GUARD}")
     bits = np.zeros(sum(sizes), dtype=bool)
     start = dict(zip(primes, itertools.accumulate(sizes, initial=0)))
-    good = {q: bits[lo : lo + q**d].reshape((q,) * d) for q, lo in start.items()}
-    return DivergenceSet(N, d, rho, c, Q, bits, start, good)
+    return DivergenceSet(N, d, rho, c, Q, bits, start)
 
 
 def _same_q_offsets(q: int, tau: float) -> list[int]:
@@ -195,10 +197,10 @@ def overlap_pair_count(x: DivergenceSet) -> int:
     """
     tau = 2.0 * x.rho / x.N
     total = 0
-    qs = [q for q in x.primes if x.good_by_q[q].any()]
+    qs = [q for q in x.primes if x.mask(q).any()]
     axes = tuple(range(x.d))
     for q in qs:
-        mask = x.good_by_q[q]
+        mask = x.mask(q)
         m = int(np.count_nonzero(mask))
         offsets = _same_q_offsets(q, tau)
         if offsets == [0]:
@@ -283,7 +285,7 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
     """
     radius = x.rho / x.N
     half = radius + 1e-12
-    primes = [q for q in x.primes if x.good_by_q[q].any()]
+    primes = [q for q in x.primes if x.mask(q).any()]
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     rows = min(_MC_BLOCK, samples)  # the block buffers, made once and filled per block
@@ -316,7 +318,7 @@ def _montecarlo_measure(x: DivergenceSet, samples: int, seed) -> tuple[float, fl
                 inside = np.flatnonzero((dist <= radius).all(axis=1))
                 if inside.size == 0:
                     continue
-                found = inside[x.good_by_q[q][tuple(bb[inside].T)]]
+                found = inside[x.mask(q)[tuple(bb[inside].T)]]
                 hit[rows[found]] = True
         hits += int(hit.sum())
         done += size
@@ -380,7 +382,7 @@ def from_balls(
     a list of ``(q, b)`` pairs, or an iterator of such arrays, the blocks
     of one table (the CLI reader's); rows come in any order, and
     duplicate balls set the same mask entry. Each block is folded into
-    one flat mask per prime and dropped, so no whole table is held; a
+    one mask per prime and dropped, so no whole table is held; a
     block that is not ascending in q is sorted by q first.
 
     Once every block is read, the checks run in this order: the
@@ -400,7 +402,7 @@ def from_balls(
         balls = [[(q, *b) for q, b in balls]]
     ranges: dict[int, list[int]] = {}  # q -> [smallest, largest] residue of its rows
     composite: set[int] = set()
-    masks: dict[int, np.ndarray] | None = {}  # prime -> flat mask; None once sum q^d passes the guard
+    masks: dict[int, np.ndarray] | None = {}  # prime -> its (q,)*d mask; None once sum q^d passes the guard
     size = 0
     for block in balls:
         rows = _ball_rows(block, d)
@@ -426,14 +428,10 @@ def from_balls(
                     if size > BITMAP_GUARD:
                         masks = None
                     else:
-                        masks[q] = np.zeros(q**d, dtype=bool)
+                        masks[q] = np.zeros((q,) * d, dtype=bool)
             if masks is None or q not in masks or lo < 0 or hi >= q:
                 continue  # an error is raised below, after the last block
-            code = res[a:b, 0].copy()  # b_0 q^(d-1) + ... + b_{d-1}, below q^d <= BITMAP_GUARD
-            for i in range(1, d):
-                code *= q
-                code += res[a:b, i]
-            masks[q][code] = True
+            masks[q][tuple(res[a:b].T)] = True
     if composite:
         raise InputError(f"ball modulus q={min(composite)} is not prime")
     primes = sorted(ranges)
@@ -443,10 +441,10 @@ def from_balls(
         if lo < 0 or hi >= q:
             raise InputError(f"residues for q={q} must lie in [0, {q}), got range [{lo}, {hi}]")
     for q in primes:  # one mask at a time into the set's bitmap, each dropped once copied
-        x.bits[x.start[q] : x.start[q] + q**d] = masks.pop(q)
+        x.mask(q)[...] = masks.pop(q)
     if polynomial is not None:
-        for q, mask in x.good_by_q.items():
-            outside = mask & ~good_set_for(polynomial, q, c).mask
+        for q in primes:
+            outside = x.mask(q) & ~good_set_for(polynomial, q, c).mask
             if outside.any():
                 b = tuple(np.argwhere(outside)[0].tolist())
                 raise InputError(f"ball (q={q}, b={b}) is not in the good set at c={c}")

@@ -156,6 +156,9 @@ def weyl_table(poly: IntPolynomial, q: int, method: str = "dft") -> WeylTable:
     if method == "dft":
         factors = axis_tables(poly, q) or [transform(poly, q)]
     elif method == "direct":
+        if q ** max(poly.dim, 2) > TABLE_GUARD:  # the q x q root matrix, at d = 1 too
+            raise ResourceError(f"direct table of q^max(d, 2) = {q ** max(poly.dim, 2)} entries "
+                                f"exceeds guard {TABLE_GUARD}")
         factors = [_table_direct(roots_of_unity(q)[phase_index(poly, (), q)], q)]
     else:
         raise InputError(f"unknown build method {method!r}")

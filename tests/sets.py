@@ -5,4 +5,4 @@ import numpy as np
 
 def good_rows(x, q):
     """(m, d) residues of the balls of q in x, in lex order."""
-    return np.argwhere(x.good_by_q[q])
+    return np.argwhere(x.mask(q))

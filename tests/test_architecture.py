@@ -1,9 +1,10 @@
 """Layering: each decision has one home.
 
 - Only divset reads the ball layout of a divergence set. Every other
-  module gets balls through ``DivergenceSet.balls``; the bitmap, its
-  per-prime views and the per-prime decoders stay private to the module
-  that builds them.
+  module gets balls through ``DivergenceSet.balls`` or ``ball_blocks``;
+  the bitmap ``bits``, its per-prime offsets ``start``, the per-prime
+  view ``mask(q)`` and ``ball_list`` stay private to the module that
+  builds them.
 - Only weyl splits a symbol into its axis parts (``weyl.axis_tables``)
   and reads the factors of a Weyl table (``WeylTable.factors``); other
   modules read ``values`` or go through ``good_set``.
@@ -21,8 +22,8 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "weylmax"
-LAYOUT = {"good_by_q", "bits"}
-DECODERS = {"rows", "ball_list"}
+LAYOUT = {"bits", "start"}
+DECODERS = {"mask", "ball_list"}
 AXIS_SPLIT = {"axis_parts", "distinct_parts"}
 
 
@@ -111,6 +112,7 @@ def test_only_numtheory_takes_modular_inverses(tmp_path):
 # Definitions in src that no src code reads, each with why it stays.
 NO_SRC_READER = {
     "divset.DivergenceSet.ball_list": "perfbench/tracer.py wraps it and counts its calls",
+    "weyl.GoodSet.members": "perfbench/tracer.py counts its rows; goes with the benchmark refresh (ROADMAP item 4)",
 }
 
 

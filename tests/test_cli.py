@@ -327,6 +327,15 @@ def test_resource_guard_exit_3(capsys):
     assert code == 3
 
 
+def test_direct_table_root_matrix_guard_exit_3(capsys, tmp_path):
+    # 16411 is the smallest prime with q^2 > TABLE_GUARD: the q x q root matrix, at d = 1
+    assert 16411**2 > weyl.TABLE_GUARD >= 16381**2
+    code, out, err = run_err(capsys, "weyl-table", "--poly", P_SQ, "--q", "16411", "--method", "direct")
+    assert code == 3 and out == "" and "guard" in err
+    path = tmp_path / "table.csv"
+    assert run(capsys, "weyl-table", "--poly", P_SQ, "--q", "16411", "--out", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["build-xn", "--poly", P_SQ, "--n", str(10**24)], id="build-xn-d1"),
     pytest.param(["build-xn", "--poly", '{"d":2,"terms":[{"e":[2,0],"c":1},{"e":[0,2],"c":1}]}',
@@ -526,6 +535,16 @@ def test_measure_xn_malformed_header_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 1024.9), ("n", "1024"), ("d", True), ("d", 1.0), ("Q", 32.7), ("Q", False),
+    ("k", 2.0), ("k", "2"), ("rho", True), ("rho", "0.03125"), ("c", False), ("c", None),
+])
+def test_measure_xn_header_value_types_exit_2(capsys, tmp_path, key, value):
+    cfg = {**json.loads(GOOD_HEADER[2:]), key: value}
+    code, out, err = run_err(capsys, "measure-xn", "--in", _xn_file(tmp_path, "# " + json.dumps(cfg)))
+    assert code == 2 and out == "" and f"header {key} must be a JSON" in err
+
+
 def test_measure_xn_invalid_balls_exit_2(capsys, tmp_path):
     for ball in ("38,5", "37,999", "37,-1"):
         path = tmp_path / "bad.csv"
@@ -715,11 +734,11 @@ def test_build_xn_read_back_matches_built_set(capsys, tmp_path):
     got = _read_xn(str(path))
     want = divset.build_divergence_set(parse_polynomial(poly2), 512)
     assert (got.N, got.d, got.Q, got.rho, got.c) == (want.N, want.d, want.Q, want.rho, want.c)
-    assert list(got.good_by_q) == list(want.good_by_q)
-    for q in want.good_by_q:
+    assert got.primes == want.primes
+    for q in want.primes:
         assert np.array_equal(good_rows(got, q), good_rows(want, q))
     for x in (got, want):  # every mask is a view into the set's one bitmap
-        assert all(np.shares_memory(mask, x.bits) for mask in x.good_by_q.values())
+        assert all(np.shares_memory(x.mask(q), x.bits) for q in x.primes)
     assert got.bits.tobytes() == want.bits.tobytes()
 
 

@@ -194,7 +194,7 @@ def _interval_union_oracle(x):
     r = x.rho / x.N
     segments = []
     for q in x.primes:
-        for b in np.flatnonzero(x.good_by_q[q]):
+        for b in np.flatnonzero(x.mask(q)):
             lo = (b / q - r) % 1.0
             hi = lo + 2 * r
             if hi <= 1.0:
@@ -494,10 +494,10 @@ def test_from_balls_ignores_order_and_duplicates(data, d):
     base = dict(N=64, d=d, rho=4.0, c=0.5, Q=5)  # tau = 1/8: offsets at q = 11, 13 and cross-prime pairs
     want = from_balls(**base, balls=balls)
     got = from_balls(**base, balls=messy)
-    assert list(got.good_by_q) == list(want.good_by_q)
+    assert got.primes == want.primes
     for q in want.primes:
-        assert got.good_by_q[q].shape == (q,) * d
-        assert np.array_equal(got.good_by_q[q], want.good_by_q[q])
+        assert got.mask(q).shape == (q,) * d
+        assert np.array_equal(got.mask(q), want.mask(q))
     assert got.ball_list() == want.ball_list() == balls
     assert overlap_pair_count(got) == overlap_pair_count(want) == _brute_overlap_pairs(want)
 
