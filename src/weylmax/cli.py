@@ -15,9 +15,7 @@ comment. Numeric CSV fields carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -163,16 +161,21 @@ def _point(args, p: poly.IntPolynomial):
 
 def cmd_weyl_table(args) -> int:
     p = _load_poly(args)
-    table = weyl.weyl_table(p, args.q, method=args.method or "dft")
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(_config(args, p), sort_keys=True) + "\n")
-    writer = csv.writer(buf)
-    writer.writerow([f"b{i}" for i in range(p.dim)] + ["re", "im", "modulus"])
-    for b in np.ndindex(*table.values.shape):
-        v = table.values[b]
-        writer.writerow([*b, format(v.real, ".17g"), format(v.imag, ".17g"), format(abs(v), ".17g")])
-    _emit(buf.getvalue(), args.out)
+    values = weyl.weyl_table(p, args.q, method=args.method or "dft").values
+    _emit(_weyl_csv_blocks(values, "# " + json.dumps(_config(args, p), sort_keys=True) + "\n"), args.out)
     return EXIT_OK
+
+
+def _weyl_csv_blocks(values: np.ndarray, head: str):
+    """``head`` and the header, then the text ``csv.writer`` writes for
+    the rows ``b_0 .. b_{d-1}, re, im, modulus`` of the entries of
+    ``values`` in C order, one piece per CSV_BLOCK entries."""
+    yield head + ",".join([f"b{i}" for i in range(values.ndim)] + ["re", "im", "modulus"]) + "\r\n"
+    index = np.ndindex(*values.shape)
+    flat = values.reshape(-1)
+    for lo in range(0, flat.size, CSV_BLOCK):  # the block first: zip stops without taking an index
+        yield "".join(f"{','.join(map(str, b))},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}\r\n"
+                      for v, b in zip(flat[lo : lo + CSV_BLOCK].tolist(), index))
 
 
 def cmd_verify_deligne(args) -> int:

@@ -172,55 +172,44 @@ def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes) -> Divergen
     return DivergenceSet(N, d, rho, c, Q, bits, start)
 
 
-def _same_q_offsets(q: int, tau: float) -> list[int]:
-    """Offsets o in [0, q) with circle distance o/q within tau: the lines
-    k = b - b' (mod q), |k| <= tau*q, of close_fraction_pairs(q, q, .)."""
-    reach = int(math.floor(tau * q + 1e-12))
-    return sorted({k % q for k in range(-reach, reach + 1)})
+_KEY_BATCH = 1 << 20  # candidate products per batched lookup
+PRODUCT_GUARD = 1 << 28  # max d-fold candidate products overlap_edges looks up
 
 
-_KEY_BATCH = 1 << 20  # cross-prime candidate products per batched lookup
+def overlap_edges(x: DivergenceSet):
+    """Each pair of distinct balls whose centers are within 2*rho/N per
+    coordinate on the torus, once, in blocks of bitmap positions
+    ``(a, b)`` with ``a < b``.
 
-
-def overlap_pair_count(x: DivergenceSet) -> int:
-    """Unordered pairs of balls (self-pairs included) whose centers are
-    within 2*rho/N per coordinate on the torus.
-
-    Same-prime blocks reduce to residue offsets: a prime's mask and its
-    cyclic roll by an offset combination overlap in the pairs at that
-    offset. Cross-prime blocks take their candidates from
-    close_fraction_pairs (|b*q' - b'*q| <= 2*rho*q*q'/N on the circle),
-    multiplied across coordinates. The candidates of every prime pair
-    are stacked into one array, and the d-fold products
-    of all pairs are looked up in batches in the set's own bitmap, so the
-    cost is O(sum q^d + #products) array work plus the candidate lists.
+    Each prime pair q <= q' takes its candidates from close_fraction_pairs
+    (|b*q' - b'*q| <= 2*rho*q*q'/N on the circle), multiplied across
+    coordinates. (q, q) enters only when its lines reach past k = 0,
+    whose self-pairs J counts. A same-prime product lists each pair in
+    both orders, so ``a < b`` keeps one of them and drops self-pairs;
+    for q < q' it always holds. The products of all pairs are looked up
+    in batches in the set's own bitmap: O(#products) array work plus the
+    candidate lists, and ResourceError, before any lookup, once the
+    products pass PRODUCT_GUARD.
     """
     tau = 2.0 * x.rho / x.N
-    total = 0
     qs = [q for q in x.primes if x.mask(q).any()]
-    axes = tuple(range(x.d))
-    for q in qs:
-        mask = x.mask(q)
-        m = int(np.count_nonzero(mask))
-        offsets = _same_q_offsets(q, tau)
-        if offsets == [0]:
-            total += m  # only self-pairs
-            continue
-        ordered = sum(
-            int(np.count_nonzero(mask & np.roll(mask, combo, axis=axes)))
-            for combo in itertools.product(offsets, repeat=x.d)
-        )
-        total += (ordered + m) // 2
     pairs: list[tuple[int, ...]] = []  # (q, q', candidate count, starts of their masks)
     flat: list[tuple[int, int]] = []
+    products = 0
     for i, q in enumerate(qs):
-        for qp in qs[i + 1 :]:
-            candidates = close_fraction_pairs(q, qp, tau * q * qp)
-            if candidates:
-                pairs.append((q, qp, len(candidates), x.start[q], x.start[qp]))
-                flat.extend(candidates)
+        for qp in qs[i:]:
+            bound = tau * q * qp
+            if qp == q and math.floor(bound / q) < 1:
+                continue  # close_fraction_pairs' lines |k| <= bound/g are k = 0 alone
+            candidates = close_fraction_pairs(q, qp, bound)
+            products += len(candidates) ** x.d
+            if products > PRODUCT_GUARD:
+                raise ResourceError(f"{products} candidate products up to primes ({q}, {qp}) "
+                                    f"exceed guard {PRODUCT_GUARD}")
+            pairs.append((q, qp, len(candidates), x.start[q], x.start[qp]))
+            flat.extend(candidates)
     if not pairs:
-        return total
+        return
     cand = np.array(flat, dtype=np.int64)  # rows (b, b'), pair after pair
     q_arr, qp_arr, n, base_q, base_qp = np.array(pairs, dtype=np.int64).T
     first = np.cumsum(n) - n  # each pair's first row in cand
@@ -233,14 +222,22 @@ def overlap_pair_count(x: DivergenceSet) -> int:
         p = np.searchsorted(ends, g, side="right")
         m = n[p]
         t = g - ends[p] + m**x.d
-        code = np.zeros_like(g)
-        code_p = np.zeros_like(g)
+        a, b = np.zeros_like(g), np.zeros_like(g)
         for i in range(x.d):
             row = cand[first[p] + t // m ** (x.d - 1 - i) % m]
-            code = code * q_arr[p] + row[:, 0]
-            code_p = code_p * qp_arr[p] + row[:, 1]
-        total += int(np.count_nonzero(x.bits[base_q[p] + code] & x.bits[base_qp[p] + code_p]))
-    return total
+            a = a * q_arr[p] + row[:, 0]
+            b = b * qp_arr[p] + row[:, 1]
+        a, b = a + base_q[p], b + base_qp[p]
+        keep = (a < b) & x.bits[a] & x.bits[b]
+        if keep.any():
+            yield a[keep], b[keep]
+
+
+def overlap_pair_count(x: DivergenceSet) -> int:
+    """Unordered pairs of balls (self-pairs included) whose centers are
+    within 2*rho/N per coordinate on the torus: J and the pairs of
+    overlap_edges."""
+    return x.ball_count + sum(len(a) for a, _ in overlap_edges(x))
 
 
 def _exact_interval_measure(x: DivergenceSet) -> float:

@@ -4,7 +4,8 @@
   module gets balls through ``DivergenceSet.balls`` or ``ball_blocks``;
   the bitmap ``bits``, its per-prime offsets ``start``, the per-prime
   view ``mask(q)`` and ``ball_list`` stay private to the module that
-  builds them.
+  builds them. Inside divset, only the allocator, the accessors, the
+  decoder and the overlap walk name ``bits`` or ``start``.
 - Only weyl splits a symbol into its axis parts (``weyl.axis_tables``)
   and reads the factors of a Weyl table (``WeylTable.factors``); other
   modules read ``values`` or go through ``good_set``.
@@ -23,6 +24,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "weylmax"
 LAYOUT = {"bits", "start"}
+LAYOUT_READERS = {"_empty_set", "mask", "ball_count", "primes", "ball_blocks", "overlap_edges"}
 DECODERS = {"mask", "ball_list"}
 AXIS_SPLIT = {"axis_parts", "distinct_parts"}
 
@@ -84,6 +86,20 @@ def _uses_outside(owner, uses):
 
 def test_only_divset_reads_the_ball_layout():
     assert _uses_outside("divset.py", _layout_uses) == []
+
+
+def _layout_readers(path):
+    """The functions and methods of a module that read ``bits`` or
+    ``start``, as an attribute or a local name."""
+    return {fn.name for fn in _nodes(path) if isinstance(fn, ast.FunctionDef) and any(
+        isinstance(node, ast.Attribute) and node.attr in LAYOUT
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in LAYOUT
+        for node in ast.walk(fn))}
+
+
+def test_divset_reads_the_layout_in_few_places():
+    # a change of layout (a bit-packed bitmap, say) touches these functions only
+    assert _layout_readers(SRC / "divset.py") == LAYOUT_READERS
 
 
 def test_only_weyl_splits_symbols_into_axis_parts():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -91,6 +92,25 @@ def test_weyl_table_csv(capsys, tmp_path):
     assert len(lines) == 2 + 5
     mods = [float(ln.split(",")[-1]) for ln in lines[2:]]
     assert all(abs(m - math.sqrt(5)) < 1e-9 for m in mods)
+
+
+def test_weyl_table_blocks_are_csv_writer_text(capsys, tmp_path, monkeypatch):
+    # d=2 cubes at q=13: 169 entries in blocks of 10, the last one short
+    cubes = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
+    values = weyl.weyl_table(parse_polynomial(cubes), 13).values
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["b0", "b1", "re", "im", "modulus"])
+    for b in np.ndindex(*values.shape):
+        v = values[b]
+        writer.writerow([*b, format(v.real, ".17g"), format(v.imag, ".17g"), format(abs(v), ".17g")])
+    monkeypatch.setattr(cli, "CSV_BLOCK", 10)
+    path = tmp_path / "table.csv"
+    assert run(capsys, "weyl-table", "--poly", cubes, "--q", "13", "--out", str(path))[0] == 0
+    head, body = path.read_bytes().decode("ascii").split("\n", 1)
+    assert json.loads(head[2:])["q"] == 13 and body == buf.getvalue()
+    code, out = run(capsys, "weyl-table", "--poly", cubes, "--q", "13")
+    assert code == 0 and out == path.read_bytes().decode("ascii")
 
 
 def test_solution_eval_json(capsys):
@@ -693,6 +713,17 @@ def test_measure_xn_samples_over_guard_exit_3(capsys, tmp_path):
     code, out = run(capsys, "measure-xn", "--in", path, "--method", "montecarlo",
                     "--samples", str(divset.MC_SAMPLE_GUARD + 1))
     assert code == 3 and out == ""
+
+
+def test_measure_xn_overlap_product_guard_exit_3(capsys, tmp_path):
+    # d=2 cubes at N=512, rho=100: the overlap walk would look up about 4e9 candidate products
+    cubes = '{"d":2,"terms":[{"e":[3,0],"c":1},{"e":[0,3],"c":1}]}'
+    path = str(tmp_path / "xn.csv")
+    assert run(capsys, "build-xn", "--poly", cubes, "--n", "512", "--rho", "100", "--out", path)[0] == 0
+    start = time.perf_counter()
+    code, out, err = run_err(capsys, "measure-xn", "--in", path, "--samples", "1000")
+    assert (code, out) == (3, "") and f"exceed guard {divset.PRODUCT_GUARD}" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_measure_xn_negative_seed_exit_2(capsys, tmp_path):

@@ -26,24 +26,25 @@ P_SQ = family_diagonal(1, 2)
 P_CUBE = family_diagonal(1, 3)
 
 
-def _brute_overlap_pairs(x):
-    """O(J^2) oracle: torus sup-distance of all center pairs."""
-    balls = x.ball_list()
-    count = 0
+def _brute_overlap_edges(x):
+    """O(J^2) oracle: the bitmap positions (a, b), a < b, of the pairs of
+    distinct balls whose centers are within tau = 2 rho/N per coordinate
+    on the torus. Touching balls overlap; 1e-12 absorbs the rounding of
+    the float distances (4/5 - 3/5 is 0.20000000000000007)."""
     tau = 2.0 * x.rho / x.N
-    for i in range(len(balls)):
-        qi, bi = balls[i]
-        for j in range(i, len(balls)):
-            qj, bj = balls[j]
-            ok = True
-            for ci, cj in zip(bi, bj):
-                dist = abs(ci / qi - cj / qj)
-                if min(dist, 1.0 - dist) > tau:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    return count
+    balls = [(x.start[q] + int(np.ravel_multi_index(b, (q,) * x.d)), q, b) for q, b in x.ball_list()]
+    edges = set()
+    for (a, qi, bi), (b, qj, bj) in itertools.combinations(balls, 2):
+        dist = [abs(ci / qi - cj / qj) for ci, cj in zip(bi, bj)]
+        if all(min(u, 1.0 - u) <= tau + 1e-12 for u in dist):
+            edges.add((a, b))
+    return edges
+
+
+def _brute_overlap_pairs(x):
+    """O(J^2) oracle of overlap_pair_count: J self-pairs and the pairs of
+    _brute_overlap_edges."""
+    return x.ball_count + len(_brute_overlap_edges(x))
 
 
 def test_build_n4096_band_and_count():
@@ -537,6 +538,62 @@ def test_overlap_matches_bruteforce_d2_built_window_large_radius():
     y = from_balls(N=x.N, d=2, rho=x.rho, c=x.c, Q=x.Q, balls=window)
     assert y.ball_count > 100
     assert overlap_pair_count(y) == _brute_overlap_pairs(y) > 3 * y.ball_count
+
+
+def _edges(x):
+    """The pairs of overlap_edges as two flat position arrays."""
+    blocks = list(dv.overlap_edges(x))
+    if not blocks:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]))
+def test_overlap_edges_are_the_overlapping_pairs(data, d):
+    primes = data.draw(st.lists(st.sampled_from([5, 7, 11]), min_size=1, max_size=3, unique=True))
+    balls = data.draw(st.lists(
+        st.sampled_from(primes).flatmap(
+            lambda q: st.tuples(st.just(q), st.tuples(*[st.integers(0, q - 1)] * d))),
+        min_size=1, max_size=40))
+    # N = 64: tau = 2 rho/N in [0.2, 0.625], so every prime's lines reach past k = 0,
+    # and from rho = 16 on, every pair of a prime with itself is a candidate
+    rho = data.draw(st.floats(6.4, 20.0))
+    x = from_balls(N=64, d=d, rho=rho, c=0.5, Q=5, balls=balls)
+    a, b = _edges(x)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert len(set(pairs)) == len(pairs)
+    assert (a < b).all() and x.bits[a].all() and x.bits[b].all()
+    assert set(pairs) == _brute_overlap_edges(x)
+    assert overlap_pair_count(x) == x.ball_count + len(pairs)
+
+
+@pytest.mark.parametrize("d, primes, rho", [
+    (1, (5, 7, 11), 6.4),  # tau = 0.2: tau*5 = 1, tau*5*7 = 7, tau*5*11 = 11
+    (2, (5, 7), 6.4),
+    (3, (5, 7), 6.4),
+    (1, (5, 7, 11), 64 / 11),  # tau = 2/11: tau*11 = 2, tau*5*11 = 10, tau*7*11 = 14
+    (2, (7, 11), 32 / 7),  # tau = 1/7, its float just below: tau*7 = 1, tau*7*11 = 11
+])
+def test_overlap_touching_balls(d, primes, rho):
+    balls = [(q, b) for q in primes for b in itertools.product(range(q), repeat=d)]
+    x = from_balls(N=64, d=d, rho=rho, c=0.5, Q=5, balls=balls)
+    tau = 2.0 * rho / 64
+    reach = [tau * q * qp / math.gcd(q, qp) for q, qp in itertools.combinations_with_replacement(primes, 2)]
+    assert any(r > 0.5 and abs(r - round(r)) < 1e-9 for r in reach)  # some lines end on a touching pair
+    assert overlap_pair_count(x) == _brute_overlap_pairs(x)
+    a, b = _edges(x)
+    assert set(zip(a.tolist(), b.tolist())) == _brute_overlap_edges(x)
+
+
+def test_overlap_product_guard(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = from_balls(N=1024, d=2, rho=51.2, c=0.5, Q=11, balls=_random_balls(rng, (11, 13), 30, 2))
+    assert overlap_pair_count(x) == _brute_overlap_pairs(x)
+    # tau*11 = 1.1: the first prime pair, (11, 11), has 3 lines of 11 candidates, 33^2 = 1089 products
+    monkeypatch.setattr(dv, "PRODUCT_GUARD", 1088)
+    with pytest.raises(ResourceError, match="1089 candidate products up to primes \\(11, 11\\) exceed guard 1088"):
+        overlap_pair_count(x)
 
 
 def _full_sweep_measure(x, samples, seed):
