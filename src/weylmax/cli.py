@@ -105,34 +105,42 @@ def _int_csv_blocks(columns: list[str], widths: list[int], blocks, head: str = "
     """``head`` and the header ``columns``, then the text ``csv.writer``
     writes for each block of rows of non-negative integers, one piece per
     block. Every value must have at most the ``widths`` digits of its
-    column; a wider width gives the same text.
+    column, at most 19; a wider width gives the same text.
 
     Each field is rendered as fixed-width ASCII digits into one byte
     buffer, reused by every block and grown only for a longer block, and
     the leading-zero pad bytes are masked out, so no Python object is
-    made per field.
+    made per field. The digits are peeled last first, in the narrowest
+    unsigned type that holds 10^max(widths) - 1, with one
+    ``floor_divide`` by the scalar 10 each (numpy's ``divmod`` and
+    ``remainder`` by a scalar are several times slower).
     """
     yield head + ",".join(columns) + "\r\n"
     ends = np.cumsum([w + 1 for w in widths], dtype=np.int64) - 1
+    kind = np.min_scalar_type(10 ** max(widths) - 1)
     out = np.empty(0)
     for block in blocks:
         if len(block) > len(out):
-            out = keep = digit = o = kept = dig = None  # drop the old buffers and their views first
+            out = keep = bufs = o = kept = val = quo = dig = None  # drop the old buffers and their views first
             # digits of every field, a "," after each field but the last, then \r\n
             out = np.empty((len(block), sum(widths) + len(widths) + 1), dtype=np.uint8)
             keep = np.ones(out.shape, dtype=bool)
-            digit = np.empty(len(block), dtype=np.int64)  # reused: no block-sized temporary per digit
+            bufs = np.empty((3, len(block)), dtype=kind)  # value, quotient and digit: no temporary per digit
             out[:, ends] = ord(",")
             out[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-        o, kept, dig = out[: len(block)], keep[: len(block)], digit[: len(block)]
+        o, kept = out[: len(block)], keep[: len(block)]
+        val, quo, dig = bufs[:, : len(block)]
         pos = 0
         for col, width in zip(block.T, widths):
-            for k in range(width):  # one scalar divisor per digit
-                power = 10 ** (width - 1 - k)
-                np.remainder(np.floor_divide(col, power, out=dig), 10, out=dig)
-                np.add(dig, ord("0"), out=o[:, pos + k], casting="unsafe")
-                if k < width - 1:
-                    np.greater_equal(col, power, out=kept[:, pos + k])
+            np.copyto(val, col, casting="unsafe")
+            for k in range(pos + width - 1, pos - 1, -1):  # the last digit first
+                if k < pos + width - 1:
+                    np.greater(val, 0, out=kept[:, k])
+                np.floor_divide(val, 10, out=quo)
+                np.multiply(quo, 10, out=dig)
+                np.subtract(val, dig, out=dig)
+                np.add(dig, ord("0"), out=o[:, k], casting="unsafe")
+                val, quo = quo, val
             pos += width + 1
         yield o[kept].tobytes().decode("ascii")
 

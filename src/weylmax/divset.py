@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .numtheory import band_start, close_fraction_pairs, is_prime, primes_in_band
+from .numtheory import band_start, close_fraction_count, close_fraction_pairs, is_prime, primes_in_band
 from .poly import IntPolynomial
 from .weyl import good_set_for
 
@@ -70,7 +70,8 @@ class DivergenceSet:
         per window of ``rows`` bitmap entries that holds one of them, so
         a block has at most ``rows`` rows and no whole table is made.
         With ``at``, each window is counted and only those holding a
-        wanted position are decoded. Each block is column-major."""
+        wanted position are decoded. A window is decoded one prime's run
+        of codes at a time, q a scalar divisor. Each block is column-major."""
         if at is not None:
             at = np.asarray(at, dtype=np.int64)
             if at.size and (at[0] < 0 or at[-1] >= self.ball_count or (np.diff(at) < 0).any()):
@@ -89,15 +90,18 @@ class DivergenceSet:
             if not code.size:
                 continue
             code += lo
-            k = np.searchsorted(starts, code, side="right") - 1  # each entry's prime
-            q = primes[k]
-            code -= starts[k]
+            # the window's primes k0..k1 and where each one's run of codes ends
+            k0, k1 = np.searchsorted(starts, code[[0, -1]], side="right") - 1
+            cuts = [0, *np.searchsorted(code, starts[k0 + 1 : k1 + 1]).tolist(), len(code)]
             out = np.empty((len(code), 1 + self.d), dtype=np.int64, order="F")
-            out[:, 0] = q
-            for i in range(self.d, 1, -1):  # the residues from the last: code = (b_0 q + b_1) q + ...
-                np.remainder(code, q, out=out[:, i])
-                code //= q
-            out[:, 1] = code
+            for q, base, a, b in zip(primes[k0 : k1 + 1].tolist(), starts[k0 : k1 + 1].tolist(), cuts, cuts[1:]):
+                col = out[a:b]
+                np.subtract(code[a:b], base, out=col[:, self.d])  # the codes within q's mask
+                for i in range(self.d, 1, -1):  # the residues from the last: code = (b_0 q + b_1) q + ...
+                    np.floor_divide(col[:, i], q, out=col[:, i - 1])
+                    np.multiply(col[:, i - 1], q, out=col[:, 0])  # column 0 as scratch
+                    col[:, i] -= col[:, 0]
+                col[:, 0] = q
             yield out
 
     def ball_list(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -188,26 +192,30 @@ def overlap_edges(x: DivergenceSet):
     both orders, so ``a < b`` keeps one of them and drops self-pairs;
     for q < q' it always holds. The products of all pairs are looked up
     in batches in the set's own bitmap: O(#products) array work plus the
-    candidate lists, and ResourceError, before any lookup, once the
-    products pass PRODUCT_GUARD.
+    candidate lists. The products are counted first (close_fraction_count),
+    so ResourceError comes before any candidate list is made once they
+    pass PRODUCT_GUARD.
     """
     tau = 2.0 * x.rho / x.N
     qs = [q for q in x.primes if x.mask(q).any()]
-    pairs: list[tuple[int, ...]] = []  # (q, q', candidate count, starts of their masks)
-    flat: list[tuple[int, int]] = []
+    walk: list[tuple[int, int, float]] = []  # (q, q', bound) of each prime pair walked
     products = 0
     for i, q in enumerate(qs):
         for qp in qs[i:]:
             bound = tau * q * qp
             if qp == q and math.floor(bound / q) < 1:
                 continue  # close_fraction_pairs' lines |k| <= bound/g are k = 0 alone
-            candidates = close_fraction_pairs(q, qp, bound)
-            products += len(candidates) ** x.d
+            products += close_fraction_count(q, qp, bound) ** x.d
             if products > PRODUCT_GUARD:
                 raise ResourceError(f"{products} candidate products up to primes ({q}, {qp}) "
                                     f"exceed guard {PRODUCT_GUARD}")
-            pairs.append((q, qp, len(candidates), x.start[q], x.start[qp]))
-            flat.extend(candidates)
+            walk.append((q, qp, bound))
+    pairs: list[tuple[int, ...]] = []  # (q, q', candidate count, starts of their masks)
+    flat: list[tuple[int, int]] = []
+    for q, qp, bound in walk:
+        candidates = close_fraction_pairs(q, qp, bound)
+        pairs.append((q, qp, len(candidates), x.start[q], x.start[qp]))
+        flat.extend(candidates)
     if not pairs:
         return
     cand = np.array(flat, dtype=np.int64)  # rows (b, b'), pair after pair

@@ -160,6 +160,16 @@ def lattice_pair_count(q: int, qp: int, bound: float) -> int:
                for b in range((k * inv - 1) % m + 1, q + 1, m))
 
 
+def close_fraction_count(q: int, qp: int, bound: float) -> int:
+    """len(close_fraction_pairs(q, qp, bound)) without listing a pair:
+    q*qp once every pair qualifies, else g pairs on each of the lines
+    |k| <= bound/g."""
+    if 2 * bound >= q * qp:
+        return q * qp
+    g = math.gcd(q, qp)
+    return (2 * math.floor(bound / g) + 1) * g
+
+
 def close_fraction_pairs(q: int, qp: int, bound: float) -> list[tuple[int, int]]:
     """Residue pairs (b, b') in [0,q) x [0,qp), sorted, whose fractions
     b/q and b'/qp are within bound/(q*qp) of each other on the circle;

@@ -243,6 +243,24 @@ def test_int_csv_matches_csv_writer(d):
     assert "".join(_int_csv(columns, table[:0], 7)) == ",".join(columns) + "\r\n"  # header only
 
 
+@pytest.mark.parametrize("widest,kind", [
+    (99, np.uint8), (100, np.uint16), (999, np.uint16), (9_999, np.uint16), (10_000, np.uint32),
+    (99_999, np.uint32), (10**9 - 1, np.uint32), (10**9, np.uint64), (10**10 - 1, np.uint64),
+    (2**63 - 1, np.uint64),
+])
+def test_int_csv_at_every_digit_type_boundary(widest, kind):
+    # the digits run in the narrowest unsigned type that holds 10^width - 1 (999, 99 999 and
+    # 10^10 - 1 overflow the type one digit narrower): widest's own column holds 0, widest and
+    # every 10^k - 1 and 10^k below it; the others are narrower
+    width = len(str(widest))
+    assert np.min_scalar_type(10**width - 1) == kind
+    edges = [0, widest] + [v for k in range(1, width) for v in (10**k - 1, 10**k)]
+    rng = np.random.default_rng(width)
+    table = np.column_stack([rng.permutation(edges), rng.permutation(edges) // 10, rng.permutation(edges) % 10])
+    for block in (cli.CSV_BLOCK, 7):
+        assert "".join(_int_csv(["a", "b", "c"], table, block)) == _csv_writer_text(["a", "b", "c"], table)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2), max_size=20))
 def test_int_csv_matches_csv_writer_on_any_rows(rows):
@@ -724,6 +742,17 @@ def test_measure_xn_overlap_product_guard_exit_3(capsys, tmp_path):
     code, out, err = run_err(capsys, "measure-xn", "--in", path, "--samples", "1000")
     assert (code, out) == (3, "") and f"exceed guard {divset.PRODUCT_GUARD}" in err
     assert time.perf_counter() - start < 10
+
+
+def test_measure_xn_overlap_guard_before_candidate_lists_exit_3(capsys, tmp_path):
+    # X^2 at N = 2^20, rho = 1e6: 2.2e10 candidate products over 137 primes; the guard
+    # trips on their counts, before the 2.7e8 candidates up to it are listed
+    path = str(tmp_path / "xn.csv")
+    assert run(capsys, "build-xn", "--poly", P_SQ, "--n", str(2**20), "--rho", "1e6", "--out", path)[0] == 0
+    start = time.perf_counter()
+    code, out, err = run_err(capsys, "measure-xn", "--in", path)
+    assert (code, out) == (3, "") and f"exceed guard {divset.PRODUCT_GUARD}" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_measure_xn_negative_seed_exit_2(capsys, tmp_path):

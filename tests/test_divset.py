@@ -311,6 +311,44 @@ def test_ball_blocks_cut_balls_into_bounded_blocks(x):
         assert got.dtype == np.int64 and np.array_equal(got, _rows_oracle(x))
 
 
+def _run_sets():
+    """Sets and a window size ``rows`` with a window that holds at least
+    three primes' runs, some window edges falling inside a prime's mask."""
+    rng = np.random.default_rng(11)
+    yield build_divergence_set(P_SQ, 2**14), 1000  # 23 primes of 131 to 251 entries
+    yield from_balls(N=64, d=2, rho=1 / 32, c=0.5, Q=5, balls=_random_balls(rng, (5, 7, 11, 13, 17), 30, 2)), 100
+    yield from_balls(N=64, d=3, rho=1 / 32, c=0.5, Q=5, balls=_random_balls(rng, (5, 7, 11, 13), 60, 3)), 500
+
+
+@pytest.mark.parametrize("x,rows", _run_sets(), ids=["d1", "d2", "d3"])
+def test_ball_blocks_decode_across_prime_runs(x, rows, monkeypatch):
+    want = _rows_oracle(x)
+    J = len(want)
+    flat = np.flatnonzero(x.bits)  # each ball's bitmap entry
+    window = flat // rows
+    prime = np.searchsorted(list(x.start.values()), flat, side="right")  # 1 + each ball's prime index
+    runs = [len(np.unique(prime[window == w])) for w in range(window[-1] + 1)]
+    busy = len(runs) - 1 - int(np.argmax(runs[::-1]))  # the last window with the most runs
+    inside = np.flatnonzero(window == busy)
+    opens = np.flatnonzero(np.diff(window)) + 1  # the first ball of each window after the first
+    assert runs[busy] >= 3 and (prime[opens] == prime[opens - 1]).any()  # and some prime is cut
+    rng = np.random.default_rng(4)
+    picks = [
+        np.arange(J),
+        inside,  # every ball of the busy window: its first, last and every cut between primes
+        np.sort(rng.choice(inside, size=len(inside) // 3, replace=False)),
+        np.unique(np.concatenate(([0, J - 1], opens, opens - 1))),  # both sides of every window edge
+        np.unique(np.concatenate(([0, J - 1], rng.choice(J, size=J // 5, replace=False)))),
+    ]
+    monkeypatch.setattr(dv, "_WINDOW", rows)
+    for at in picks:
+        blocks = list(x.ball_blocks(rows, at))
+        assert all(b.dtype == np.int64 and b.flags.f_contiguous for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), want[at])
+        assert np.array_equal(x.balls(at), want[at])
+    assert np.array_equal(np.concatenate(list(x.ball_blocks(rows))), want)
+
+
 def _split(table, cuts):
     """The rows of table as blocks cut at the sorted positions cuts, so
     repeated and end cuts give empty blocks."""
@@ -594,6 +632,23 @@ def test_overlap_product_guard(monkeypatch):
     monkeypatch.setattr(dv, "PRODUCT_GUARD", 1088)
     with pytest.raises(ResourceError, match="1089 candidate products up to primes \\(11, 11\\) exceed guard 1088"):
         overlap_pair_count(x)
+
+
+def test_overlap_product_guard_before_any_candidate_list(monkeypatch):
+    # X^2 at N = 2^20, rho = 1e6: 2 tau >= 1, so each of the 137 primes' pairs has q*q' candidates,
+    # 2.2e10 in all; the guard trips at (1033, 1327), where listing them would hold 2.7e8 tuples
+    x = build_divergence_set(P_SQ, 2**20, rho=1e6)
+    assert (x.ball_count, len(x.primes)) == (208_987, 137)
+    listed = []
+    monkeypatch.setattr(dv, "close_fraction_pairs", lambda *a: listed.append(a))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="up to primes \\(1033, 1327\\) exceed guard"):
+            measure(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert listed == [] and peak < 8 << 20, peak
 
 
 def _full_sweep_measure(x, samples, seed):

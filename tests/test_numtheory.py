@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from weylmax.errors import InputError
 from weylmax.numtheory import (
     band_start,
+    close_fraction_count,
     close_fraction_pairs,
     eval_poly_mod,
     eval_poly_mod_grid,
@@ -158,6 +159,19 @@ def test_close_fraction_pairs_equals_brute(q, qp, data):
         st.fractions(0, int(half) + 1).map(float),
     ))
     assert close_fraction_pairs(q, qp, bound) == _close_pairs_brute(q, qp, bound)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(q=st.sampled_from([2, 3, 5, 7, 11, 13, 31, 97]), qp=st.sampled_from([2, 3, 5, 7, 11, 13, 31, 97]),
+       data=st.data())
+def test_close_fraction_count_is_the_list_length(q, qp, data):
+    # same-prime pairs (g = q), coprime ones (g = 1) and bounds on and past q*qp/2, where every pair counts
+    half = q * qp / 2
+    bound = data.draw(st.one_of(
+        st.sampled_from([0.0, 1.0, q - 0.5, float(q), half - 0.5, half, half + 1, 4 * half]),
+        st.floats(0, 1.5 * half),
+    ))
+    assert close_fraction_count(q, qp, bound) == len(close_fraction_pairs(q, qp, bound))
 
 
 def test_band_start_exact_on_cubes():
