@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .numtheory import band_start, close_fraction_count, close_fraction_pairs, is_prime, primes_in_band
+from .numtheory import band_start, close_fraction_pairs, is_prime, primes_in_band
 from .poly import IntPolynomial
 from .weyl import good_set_for
 
@@ -176,7 +176,7 @@ def _empty_set(N: int, d: int, rho: float, c: float, Q: int, primes) -> Divergen
     return DivergenceSet(N, d, rho, c, Q, bits, start)
 
 
-_KEY_BATCH = 1 << 20  # candidate products per batched lookup
+_KEY_BATCH = 1 << 17  # candidate products per batched lookup
 PRODUCT_GUARD = 1 << 28  # max d-fold candidate products overlap_edges looks up
 
 
@@ -185,57 +185,46 @@ def overlap_edges(x: DivergenceSet):
     coordinate on the torus, once, in blocks of bitmap positions
     ``(a, b)`` with ``a < b``.
 
-    Each prime pair q <= q' takes its candidates from close_fraction_pairs
-    (|b*q' - b'*q| <= 2*rho*q*q'/N on the circle), multiplied across
-    coordinates. (q, q) enters only when its lines reach past k = 0,
-    whose self-pairs J counts. A same-prime product lists each pair in
-    both orders, so ``a < b`` keeps one of them and drops self-pairs;
-    for q < q' it always holds. The products of all pairs are looked up
-    in batches in the set's own bitmap: O(#products) array work plus the
-    candidate lists. The products are counted first (close_fraction_count),
-    so ResourceError comes before any candidate list is made once they
-    pass PRODUCT_GUARD.
+    Each prime pair q <= q' takes the candidates on its lines of
+    close_fraction_pairs (|b*q' - b'*q| <= 2*rho*q*q'/N on the circle),
+    multiplied across coordinates; (q, q) enters only when its lines
+    reach past k = 0, whose self-pairs J counts, and ``a < b`` drops the
+    second order of its pairs. The products are counted against
+    PRODUCT_GUARD first, then decoded from their index and looked up in
+    the set's bitmap in batches, in O(#prime pairs + _KEY_BATCH) memory.
     """
-    tau = 2.0 * x.rho / x.N
-    qs = [q for q in x.primes if x.mask(q).any()]
-    walk: list[tuple[int, int, float]] = []  # (q, q', bound) of each prime pair walked
-    products = 0
-    for i, q in enumerate(qs):
-        for qp in qs[i:]:
-            bound = tau * q * qp
-            if qp == q and math.floor(bound / q) < 1:
-                continue  # close_fraction_pairs' lines |k| <= bound/g are k = 0 alone
-            products += close_fraction_count(q, qp, bound) ** x.d
-            if products > PRODUCT_GUARD:
-                raise ResourceError(f"{products} candidate products up to primes ({q}, {qp}) "
-                                    f"exceed guard {PRODUCT_GUARD}")
-            walk.append((q, qp, bound))
-    pairs: list[tuple[int, ...]] = []  # (q, q', candidate count, starts of their masks)
-    flat: list[tuple[int, int]] = []
-    for q, qp, bound in walk:
-        candidates = close_fraction_pairs(q, qp, bound)
-        pairs.append((q, qp, len(candidates), x.start[q], x.start[qp]))
-        flat.extend(candidates)
-    if not pairs:
+    qs, starts = np.array([(q, x.start[q]) for q in x.primes if x.mask(q).any()], dtype=np.int64).reshape(-1, 2).T
+    i, j = np.triu_indices(len(qs))
+    bound = 2.0 * x.rho / x.N * qs[i] * qs[j]
+    walked = (i != j) | (np.floor(bound / qs[i]) >= 1)  # else (q, q)'s lines |k| <= bound/q are k = 0 alone
+    i, j, bound = i[walked], j[walked], bound[walked]
+    if not len(i):
         return
-    cand = np.array(flat, dtype=np.int64)  # rows (b, b'), pair after pair
-    q_arr, qp_arr, n, base_q, base_qp = np.array(pairs, dtype=np.int64).T
-    first = np.cumsum(n) - n  # each pair's first row in cand
-    ends = np.cumsum(n**x.d)  # a pair's d-fold products end here
-    # Product t of a pair takes the row (t // n^(d-1-i)) % n for
-    # coordinate i, the order of itertools.product. Products are built
-    # _KEY_BATCH at a time so a large rho cannot grow them without bound.
+    q, qp = qs[i], qs[j]
+    close = close_fraction_pairs(q, qp, bound)
+    ends = np.cumsum(close.count.astype(np.float64) ** x.d)  # exact up to 2^53
+    over = np.flatnonzero(ends > PRODUCT_GUARD)
+    if over.size:
+        p = over[0]
+        total = (int(ends[p - 1]) if p else 0) + int(close.count[p]) ** x.d
+        raise ResourceError(f"{total} candidate products up to primes ({q[p]}, {qp[p]}) "
+                            f"exceed guard {PRODUCT_GUARD}")
+    ends = ends.astype(np.int64)  # a pair's d-fold products end here
+    begins, base_q, base_qp = ends - close.count**x.d, starts[i], starts[j]
+    # Product t of a pair takes digit k of t in base n (its candidate count)
+    # for coordinate k, _KEY_BATCH products at a time.
     for lo in range(0, int(ends[-1]), _KEY_BATCH):
-        g = np.arange(lo, min(lo + _KEY_BATCH, int(ends[-1])), dtype=np.int64)
-        p = np.searchsorted(ends, g, side="right")
-        m = n[p]
-        t = g - ends[p] + m**x.d
-        a, b = np.zeros_like(g), np.zeros_like(g)
-        for i in range(x.d):
-            row = cand[first[p] + t // m ** (x.d - 1 - i) % m]
-            a = a * q_arr[p] + row[:, 0]
-            b = b * qp_arr[p] + row[:, 1]
-        a, b = a + base_q[p], b + base_qp[p]
+        t = np.arange(lo, min(lo + _KEY_BATCH, int(ends[-1])), dtype=np.int64)
+        p = np.searchsorted(ends, t, side="right")
+        t -= begins[p]
+        n, qb, qpb = close.count[p], q[p], qp[p]
+        a = b = 0
+        for _ in range(x.d):
+            t, c = np.divmod(t, n)
+            row, col = close.at(p, c)
+            a, b = a * qb + row, b * qpb + col
+        a += base_q[p]
+        b += base_qp[p]
         keep = (a < b) & x.bits[a] & x.bits[b]
         if keep.any():
             yield a[keep], b[keep]

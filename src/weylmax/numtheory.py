@@ -9,6 +9,7 @@ thresholds (the bound A in the pair counts).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,38 +161,48 @@ def lattice_pair_count(q: int, qp: int, bound: float) -> int:
                for b in range((k * inv - 1) % m + 1, q + 1, m))
 
 
-def close_fraction_count(q: int, qp: int, bound: float) -> int:
-    """len(close_fraction_pairs(q, qp, bound)) without listing a pair:
-    q*qp once every pair qualifies, else g pairs on each of the lines
-    |k| <= bound/g."""
-    if 2 * bound >= q * qp:
-        return q * qp
-    g = math.gcd(q, qp)
-    return (2 * math.floor(bound / g) + 1) * g
+class CloseLines(NamedTuple):
+    """The close fraction pairs of modulus pairs (q, q'): lines k of one
+    period, g candidates each; ``at`` decodes candidate c of pair i."""
+
+    g: np.ndarray  # gcd(q, q')
+    m: np.ndarray  # q/g
+    mp: np.ndarray  # q'/g
+    inv: np.ndarray  # m'^(-1) mod m
+    first: np.ndarray  # the first line k
+    count: np.ndarray  # candidates: g on each line
+
+    def at(self, i, c):
+        """(b, b') of candidate c, point c % g of line k = first + c // g, of
+        pair i; every product stays below 2^62 for moduli up to GRID_MODULUS_MAX."""
+        g, m, mp = self.g[i], self.m[i], self.mp[i]
+        k, c = np.divmod(c, g)
+        k += self.first[i]
+        b = k % m * self.inv[i] % m + c * m
+        return b, (b * mp - k) // m % (g * mp)
 
 
-def close_fraction_pairs(q: int, qp: int, bound: float) -> list[tuple[int, int]]:
-    """Residue pairs (b, b') in [0,q) x [0,qp), sorted, whose fractions
-    b/q and b'/qp are within bound/(q*qp) of each other on the circle;
-    s = 0 (coincident centers) is included.
-
-    On the circle the condition is |b*qp - B'*q| <= bound for some
-    integer B' = b' (mod qp), so the pairs are the points of the lines
-    |k| <= bound/g of lattice_pair_count with b in [0, q) and b' the
-    residue of B' = (b*m' - k)/m mod qp. While 2*bound < q*qp, distinct
-    lines give distinct pairs; past that every pair qualifies.
+def close_fraction_pairs(q, qp, bound) -> CloseLines:
+    """The residue pairs (b, b') in [0,q) x [0,qp) whose fractions b/q and
+    b'/qp are within bound/(q*qp) on the circle (b/q = b'/qp included), for
+    broadcast arrays of moduli and bounds. They are the points of the lines
+    |k| <= bound/g of lattice_pair_count with b in [0, q) and b' the residue
+    of B' = (b*m' - k)/m mod qp. A pair fixes k mod T = q*qp/g, so the lines
+    are cut to one period, -(T-1)//2 .. T//2: that cuts nothing while
+    2*bound < q*qp and lists all q*qp pairs once from there on.
     """
-    if q < 1 or qp < 1:
-        raise InputError(f"moduli must be positive, got ({q}, {qp})")
-    if not math.isfinite(bound):
-        raise InputError(f"bound must be finite, got {bound}")
-    if 2 * bound >= q * qp:
-        # circle distance is at most 1/2, so every pair qualifies
-        return [(b, bp) for b in range(q) for bp in range(qp)]
-    g = math.gcd(q, qp)
+    q, qp, bound = np.broadcast_arrays(np.atleast_1d(q), np.atleast_1d(qp), np.atleast_1d(bound))
+    bad = (q < 1) | (qp < 1) | (q > GRID_MODULUS_MAX) | (qp > GRID_MODULUS_MAX)
+    if bad.any():
+        raise InputError(f"moduli must lie in [1, 2^31-1], got ({q[bad][0]}, {qp[bad][0]})")
+    bad = ~(np.isfinite(bound) & (bound >= 0))
+    if bad.any():
+        raise InputError(f"bound must be finite and non-negative, got {bound[bad][0]}")
+    q, qp = q.astype(np.int64), qp.astype(np.int64)
+    g = np.gcd(q, qp)
     m, mp = q // g, qp // g
-    kmax = int(math.floor(bound / g))
-    inv = pow(mp, -1, m)
-    return sorted((b, (b * mp - k) // m % qp)
-                  for k in range(-kmax, kmax + 1)
-                  for b in range(k * inv % m, q, m))
+    # floor(bound/g) capped in floats first: any cap above T//2 < 2^61 cuts the same
+    kmax = np.minimum(np.floor(bound / g), 2.0**62).astype(np.int64)
+    first, last = -np.minimum(kmax, (m * qp - 1) // 2), np.minimum(kmax, m * qp // 2)
+    inv = np.array([pow(a, -1, n) for a, n in zip(mp.tolist(), m.tolist())], dtype=np.int64)
+    return CloseLines(g, m, mp, inv, first, (last - first + 1) * g)

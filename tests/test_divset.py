@@ -634,13 +634,11 @@ def test_overlap_product_guard(monkeypatch):
         overlap_pair_count(x)
 
 
-def test_overlap_product_guard_before_any_candidate_list(monkeypatch):
+def test_overlap_product_guard_before_any_candidate_list():
     # X^2 at N = 2^20, rho = 1e6: 2 tau >= 1, so each of the 137 primes' pairs has q*q' candidates,
     # 2.2e10 in all; the guard trips at (1033, 1327), where listing them would hold 2.7e8 tuples
     x = build_divergence_set(P_SQ, 2**20, rho=1e6)
     assert (x.ball_count, len(x.primes)) == (208_987, 137)
-    listed = []
-    monkeypatch.setattr(dv, "close_fraction_pairs", lambda *a: listed.append(a))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="up to primes \\(1033, 1327\\) exceed guard"):
@@ -648,7 +646,22 @@ def test_overlap_product_guard_before_any_candidate_list(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert listed == [] and peak < 8 << 20, peak
+    assert peak < 8 << 20, peak
+
+
+def test_overlap_walk_memory_is_one_batch(monkeypatch):
+    # X^2 at N = 2048, rho = 1000: 10 primes, 232 903 overlap pairs (self-pairs included); the walk holds its
+    # prime pairs' lines and one batch, never a pair's candidates
+    x = build_divergence_set(P_SQ, 2048, rho=1000.0)
+    assert (x.ball_count, len(x.primes)) == (682, 10)
+    monkeypatch.setattr(dv, "_KEY_BATCH", 1 << 12)
+    tracemalloc.start()
+    try:
+        pairs = overlap_pair_count(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == 232_903 and peak < 4 << 20, peak
 
 
 def _full_sweep_measure(x, samples, seed):

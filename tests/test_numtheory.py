@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from weylmax.errors import InputError
 from weylmax.numtheory import (
+    GRID_MODULUS_MAX,
     band_start,
-    close_fraction_count,
     close_fraction_pairs,
     eval_poly_mod,
     eval_poly_mod_grid,
@@ -142,12 +142,18 @@ def _close_pairs_brute(q, qp, bound):
     return out
 
 
+def _decoded(close, i):
+    """The sorted rows (b, b') of pair i, decoded from its candidate indices."""
+    b, bp = close.at(i, np.arange(close.count[i]))
+    return sorted(zip(b.tolist(), bp.tolist()))
+
+
 @pytest.mark.parametrize("q,qp,bound", [
     (7, 11, 0.0), (7, 11, 3.0), (13, 17, 1.0), (5, 5, 0.0),
     (6, 10, 4.0), (31, 37, 25.0), (3, 5, 7.5), (11, 13, 200.0),
 ])
 def test_close_fraction_pairs_matches_brute(q, qp, bound):
-    assert close_fraction_pairs(q, qp, bound) == _close_pairs_brute(q, qp, bound)
+    assert _decoded(close_fraction_pairs(q, qp, bound), 0) == _close_pairs_brute(q, qp, bound)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -158,7 +164,7 @@ def test_close_fraction_pairs_equals_brute(q, qp, data):
         st.sampled_from([0.0, half - 0.5, half, 1e9]),
         st.fractions(0, int(half) + 1).map(float),
     ))
-    assert close_fraction_pairs(q, qp, bound) == _close_pairs_brute(q, qp, bound)
+    assert _decoded(close_fraction_pairs(q, qp, bound), 0) == _close_pairs_brute(q, qp, bound)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -171,7 +177,53 @@ def test_close_fraction_count_is_the_list_length(q, qp, data):
         st.sampled_from([0.0, 1.0, q - 0.5, float(q), half - 0.5, half, half + 1, 4 * half]),
         st.floats(0, 1.5 * half),
     ))
-    assert close_fraction_count(q, qp, bound) == len(close_fraction_pairs(q, qp, bound))
+    assert close_fraction_pairs(q, qp, bound).count[0] == len(_close_pairs_brute(q, qp, bound))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(
+    st.sampled_from([(5, 5), (13, 13), (7, 11), (11, 7), (2, 31), (6, 10), (10, 6), (12, 18), (9, 15), (1, 4)]),
+    st.one_of(st.sampled_from(["half - 0.5", "half", "1e9"]), st.floats(0, 1.2))),
+    min_size=1, max_size=12))
+def test_close_fraction_pairs_many_pairs_in_one_call(entries):
+    # same primes (g = q), coprime pairs and composites in one broadcast call; a float bound is a share of q*qp/2
+    qs, qps = (np.array(v) for v in zip(*(pair for pair, _ in entries)))
+    half = qs * qps / 2
+    rule = {"half - 0.5": half - 0.5, "half": half, "1e9": np.full(len(qs), 1e9)}
+    bound = np.array([rule[w][i] if isinstance(w, str) else w * half[i] for i, (_, w) in enumerate(entries)])
+    close = close_fraction_pairs(qs, qps, bound)
+    for i, (q, qp, a) in enumerate(zip(qs.tolist(), qps.tolist(), bound.tolist())):
+        want = _close_pairs_brute(q, qp, a)
+        assert _decoded(close, i) == want and close.count[i] == len(want)
+
+
+def _close_pairs_lines(q, qp, bound):
+    """The line formula in Python integers, valid while 2*bound < q*qp:
+    b = k * m'^(-1) (mod m) on each line |k| <= bound/g, b' = (b*m' - k)/m mod q'."""
+    g = math.gcd(q, qp)
+    m, mp = q // g, qp // g
+    kmax = math.floor(bound / g)
+    inv = pow(mp, -1, m)
+    return sorted((b, (b * mp - k) // m % qp)
+                  for k in range(-kmax, kmax + 1)
+                  for b in range(k * inv % m, q, m))
+
+
+@pytest.mark.parametrize("q,qp", [
+    (2147483647, 2147483629), (2147483629, 2147483647), (2147483646, 2147483628), (2147483647, 3),
+])
+@pytest.mark.parametrize("bound", [0.0, 3.5, 100.0])
+def test_close_fraction_pairs_in_int64_near_the_modulus_cap(q, qp, bound):
+    close = close_fraction_pairs(q, qp, bound)
+    assert _decoded(close, 0) == _close_pairs_lines(q, qp, bound)
+
+
+@pytest.mark.parametrize("q,qp,bound", [
+    (0, 5, 1.0), (5, 0, 1.0), (GRID_MODULUS_MAX + 1, 5, 1.0), (5, 2**40, 1.0), (5, 7, -1.0),
+])
+def test_close_fraction_pairs_rejects_out_of_range(q, qp, bound):
+    with pytest.raises(InputError):
+        close_fraction_pairs([7, q], [7, qp], [1.0, bound])
 
 
 def test_band_start_exact_on_cubes():
