@@ -15,7 +15,6 @@ comment. Numeric CSV fields carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -364,7 +363,7 @@ def cmd_ratio_experiment(args) -> int:
     rows = experiment.ratio_experiment(p, args.s, ladder, cfg)
     header = _config(args, p)
     header["ladder"] = ladder
-    header["experiment_config"] = dataclasses.asdict(cfg)
+    header["experiment_config"] = cfg._asdict()
     _emit(experiment.rows_to_csv(rows, header), args.out)
     return EXIT_OK
 

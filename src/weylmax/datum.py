@@ -11,8 +11,7 @@ and forms products on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +64,7 @@ def bump(x):
     return out
 
 
-@dataclass
-class Datum:
+class Datum(NamedTuple):
     """Sparse coefficient map n -> phi(n/N) over the support box.
 
     The box and the cutoff are identical along every axis, so a single
@@ -84,25 +82,27 @@ class Datum:
         return float(np.sum(self.axis_psi**2)) ** self.d
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    """x = b/q + delta with t = 1/q implied; b is reduced mod q on entry."""
-
+class _PointFields(NamedTuple):
     b: tuple[int, ...]
     q: int
     delta: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise InputError(f"denominator must be >= 2, got {self.q}")
-        b = tuple(int(v) % self.q for v in self.b)
-        delta = tuple(float(v) for v in self.delta)
+
+class RationalPoint(_PointFields):
+    """x = b/q + delta with t = 1/q implied; b is reduced mod q on entry."""
+
+    __slots__ = ()
+
+    def __new__(cls, b, q: int, delta):
+        if q < 2:
+            raise InputError(f"denominator must be >= 2, got {q}")
+        b = tuple(int(v) % q for v in b)
+        delta = tuple(float(v) for v in delta)
         if len(delta) != len(b):
             raise InputError(f"delta has {len(delta)} components, b has {len(b)}")
         if not all(math.isfinite(v) for v in delta):
             raise InputError(f"delta components must be finite, got {delta}")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "delta", delta)
+        return super().__new__(cls, b, q, delta)
 
     @property
     def d(self) -> int:

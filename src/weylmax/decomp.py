@@ -13,7 +13,7 @@ frequencies of Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .poly import IntPolynomial
 from .weyl import WeylTable, phase_index, roots_of_unity
 
 
-@dataclass
-class FoldedZ:
+class FoldedZ(NamedTuple):
     q: int
     d: int
     values: np.ndarray  # shape (q,)*d
@@ -34,8 +33,7 @@ class FoldedZ:
         return complex(self.values.mean())
 
 
-@dataclass(frozen=True)
-class MainErrorSplit:
+class MainErrorSplit(NamedTuple):
     main: complex
     error: complex
     zhat0: complex

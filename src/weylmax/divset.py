@@ -10,10 +10,9 @@ bounds from the exact overlapping-pair count.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,14 +21,11 @@ from .numtheory import band_start, close_fraction_pairs, is_prime, primes_in_ban
 from .poly import IntPolynomial
 from .weyl import good_set_for
 
-log = logging.getLogger(__name__)
-
 BITMAP_GUARD = 1 << 29  # max bytes of one set's bitmap, one per residue
 _WINDOW = 1 << 16  # bitmap entries per block of balls()
 
 
-@dataclass
-class DivergenceSet:
+class DivergenceSet(NamedTuple):
     N: int
     d: int
     rho: float
@@ -109,8 +105,7 @@ class DivergenceSet:
         return [(q, tuple(b)) for q, *b in self.balls().tolist()]
 
 
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(NamedTuple):
     estimate: float
     error: float
     method: str
@@ -142,7 +137,9 @@ def build_divergence_set(
     admissible = band_primes(band, Q, k)
     dropped = sorted(set(band) - set(admissible))
     if dropped:
-        log.info("dropping band primes dividing the degree %d: %s", k, dropped)
+        import logging  # here, on this rare path, so that importing the package does not load it
+
+        logging.getLogger(__name__).info("dropping band primes dividing the degree %d: %s", k, dropped)
     if not admissible:
         raise InputError(f"no admissible prime in [{Q}, {2*Q}) for degree {k}")
     x = _empty_set(N, d, rho, c, Q, admissible)

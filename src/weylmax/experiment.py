@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .weyl import axis_tables, phase_index, roots_of_unity
 CSV_COLUMNS = ["N", "Q", "J", "measure", "measure_err", "sup_lb", "hs_norm", "ratio", "wall_ms"]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     c: float = 0.5
     rho: float = 1.0 / 32.0
     seed: int = 42
@@ -43,8 +42,7 @@ class ExperimentConfig:
     threads: int = 1  # no effect (only checked >= 1); stays while perfbench/child.py passes threads=
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     sup_lb: float
     witness_q: int
     witness_b: tuple[int, ...]
@@ -53,30 +51,28 @@ class ScanResult:
     n_sampled: int
 
 
-@dataclass
 class ExperimentRow:
-    N: int
-    Q: int
-    d: int
-    k: int
-    s: float
-    J: int
-    measure: float
-    measure_err: float
-    measure_method: str
-    sup_lb: float
-    hs_norm: float
-    ratio: float
-    wall_ms: float
-    witness_q: int = 0
-    witness_b: tuple[int, ...] = ()
-    witness_delta: tuple[float, ...] = ()
-    failed: bool = False
-    fail_reason: str = ""
+    """One ladder scale's result; rows_from_csv fills in the notes
+    (fail_reason, measure_method) after it has made the row."""
+
+    __slots__ = ("N", "Q", "d", "k", "s", "J", "measure", "measure_err", "measure_method", "sup_lb",
+                 "hs_norm", "ratio", "wall_ms", "witness_q", "witness_b", "witness_delta", "failed",
+                 "fail_reason")
+
+    def __init__(
+        self, N: int, Q: int, d: int, k: int, s: float, J: int, measure: float, measure_err: float,
+        measure_method: str, sup_lb: float, hs_norm: float, ratio: float, wall_ms: float,
+        witness_q: int = 0, witness_b: tuple[int, ...] = (), witness_delta: tuple[float, ...] = (),
+        failed: bool = False, fail_reason: str = "",
+    ):
+        self.N, self.Q, self.d, self.k, self.s, self.J = N, Q, d, k, s, J
+        self.measure, self.measure_err, self.measure_method = measure, measure_err, measure_method
+        self.sup_lb, self.hs_norm, self.ratio, self.wall_ms = sup_lb, hs_norm, ratio, wall_ms
+        self.witness_q, self.witness_b, self.witness_delta = witness_q, witness_b, witness_delta
+        self.failed, self.fail_reason = failed, fail_reason
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     slope: float
     intercept: float
     residual: float
@@ -326,7 +322,8 @@ def ratio_experiment(
     none). A row whose Monte Carlo measure is unusable (_measure_flag)
     keeps its values and failed = False, with the reason in fail_reason.
     """
-    config = config or ExperimentConfig()
+    if config is None:
+        config = ExperimentConfig()
     ladder = [int(n) for n in n_ladder]
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise InputError(f"ladder must be strictly ascending, got {ladder}")
@@ -338,6 +335,10 @@ def ratio_experiment(
         raise InputError(f"thread count must be positive, got {config.threads}")
     if config.seed < 0:
         raise InputError(f"seed must be non-negative, got {config.seed}")
+    if config.sample_budget < 1:
+        raise InputError(f"sample budget must be positive, got {config.sample_budget}")
+    if config.mc_samples < 1:
+        raise InputError(f"sample count must be positive, got {config.mc_samples}")
     d = poly.dim
     k = poly.degree()
     if k < 2:

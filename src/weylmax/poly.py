@@ -10,31 +10,37 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class _PolynomialFields(NamedTuple):
     dim: int
-    terms: dict[tuple[int, ...], int] = field(default_factory=dict)
+    terms: dict[tuple[int, ...], int]
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise InputError(f"dimension must be >= 1, got {self.dim}")
+
+class IntPolynomial(_PolynomialFields):
+    """A symbol in dim variables: exponent vector -> non-zero integer
+    coefficient. Immutable and equal by value; the constructor checks the
+    exponents and drops zero coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, dim: int, terms: dict[tuple[int, ...], int] | None = None):
+        if dim < 1:
+            raise InputError(f"dimension must be >= 1, got {dim}")
         cleaned = {}
-        for expo, coeff in self.terms.items():
+        for expo, coeff in (terms or {}).items():
             expo = tuple(int(e) for e in expo)
-            if len(expo) != self.dim:
-                raise InputError(f"exponent vector {expo} has length {len(expo)}, expected {self.dim}")
+            if len(expo) != dim:
+                raise InputError(f"exponent vector {expo} has length {len(expo)}, expected {dim}")
             if any(e < 0 for e in expo):
                 raise InputError(f"negative exponent in {expo}")
             coeff = int(coeff)
             if coeff != 0:
                 cleaned[expo] = coeff
-        object.__setattr__(self, "terms", cleaned)
+        return super().__new__(cls, dim, cleaned)
 
     def degree(self) -> int:
         """Maximum total degree over stored terms; 0 for the empty polynomial."""

@@ -10,8 +10,8 @@ it is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +24,11 @@ TABLE_GUARD = 1 << 28  # max q^d entries for a materialized table
 PARSEVAL_TOL = 1e-9
 
 
-@dataclass
 class WeylTable:
-    q: int
-    d: int
-    factors: list[np.ndarray]  # complex128, one (q,) per axis or one (q,)*d
+    def __init__(self, q: int, d: int, factors: list[np.ndarray]):
+        self.q = q
+        self.d = d
+        self.factors = factors  # complex128, one (q,) per axis or one (q,)*d
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -40,8 +40,7 @@ class WeylTable:
         return complex(self.values[tuple(int(v) % self.q for v in b)])
 
 
-@dataclass(frozen=True)
-class DeligneReport:
+class DeligneReport(NamedTuple):
     max_modulus: float
     bound: float  # per-degree (k-1) q^(d/2)
     ok: bool
@@ -49,8 +48,7 @@ class DeligneReport:
     classical_ok: bool
 
 
-@dataclass
-class GoodSet:
+class GoodSet(NamedTuple):
     q: int
     d: int
     c: float

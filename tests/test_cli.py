@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylmax
-from weylmax import cli, divset, weyl
+from weylmax import cli, divset, experiment, weyl
 from weylmax.cli import COMMANDS, _read_xn, build_parser, dispatch
 from weylmax.poly import parse_polynomial
 
@@ -459,6 +459,27 @@ def test_ratio_experiment_negative_seed_exit_2(capsys, symbol):
     assert code == 2 and out == "" and "seed" in err
 
 
+@pytest.mark.parametrize("option", ["--samples=0", "--budget=0"])
+@pytest.mark.parametrize("symbol", [P_SQ, P_SQ2], ids=["d1", "d2"])
+def test_ratio_experiment_zero_samples_exit_2_before_any_row(capsys, monkeypatch, symbol, option):
+    def boom(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(experiment, "build_divergence_set", boom)
+    code, out, err = run_err(capsys, "ratio-experiment", "--poly", symbol, "--s", "0",
+                             "--n-ladder", "1024", option)
+    assert code == 2 and out == "" and "must be positive" in err
+
+
+def test_ratio_experiment_header_pins_the_config(capsys):
+    code, out = run(capsys, "ratio-experiment", "--poly", P_SQ, "--s", "0", "--n-ladder", "256",
+                    "--c", "0.25", "--rho", "0.0625", "--seed", "3", "--budget", "100", "--samples", "10")
+    assert code == 0
+    header = json.loads(out.splitlines()[0][2:])
+    assert list(header["experiment_config"].items()) == [  # keys sorted, as rows_to_csv writes them
+        ("c", 0.25), ("mc_samples", 10), ("rho", 0.0625), ("sample_budget", 100), ("seed", 3), ("threads", 1)]
+
+
 @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
 def test_ratio_experiment_non_finite_s_exit_2(capsys, s):
     code, out = run(capsys, "ratio-experiment", "--poly", P_SQ, "--s", s, "--n-ladder", "1024,2048,4096")
@@ -895,6 +916,17 @@ def test_python_m_weylmax():
     obj = json.loads(proc.stdout)
     assert {key: obj[key] for key in ("count", "bound", "ok")} == {"count": 4, "bound": 4, "ok": True}
     assert obj["config"] == {"version": weylmax.__version__, "q": 3, "qp": 5, "bound": 2.0}
+
+
+def test_package_import_loads_neither_dataclasses_nor_logging():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import weylmax.cli\n"
+            "print(sorted({'dataclasses', 'logging'} & (set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_module_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_huge_rho_exit_4_without_runtime_warning():

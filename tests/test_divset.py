@@ -1,6 +1,7 @@
 """Divergence-set construction, overlap counting, and measure."""
 
 import itertools
+import logging
 import math
 import tracemalloc
 from fractions import Fraction
@@ -76,6 +77,15 @@ def test_centers_in_lowest_terms():
 def test_build_too_small_rejected():
     with pytest.raises(InputError):
         build_divergence_set(P_SQ, 32)
+
+
+def test_build_drops_band_primes_dividing_the_degree(caplog):
+    # N = 56: the band [7, 14) holds 7, which divides the degree of X^7
+    with caplog.at_level(logging.INFO, logger="weylmax.divset"):
+        x = build_divergence_set(family_diagonal(1, 7), 56)
+    assert (x.Q, x.primes) == (7, [11, 13])
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("weylmax.divset", logging.INFO, "dropping band primes dividing the degree 7: [7]")]
 
 
 def test_build_bitmap_guard_before_any_table(monkeypatch):

@@ -5,12 +5,14 @@ import math
 import pytest
 
 from weylmax.datum import RationalPoint, datum_coefficients
-from weylmax.decomp import main_error_split
+from weylmax.decomp import MainErrorSplit, main_error_split
 from weylmax.divset import MeasureResult, build_divergence_set, measure
 from weylmax.errors import InputError
 from weylmax.experiment import (
     ExperimentConfig,
     ExperimentRow,
+    FitResult,
+    ScanResult,
     _measure_flag,
     fit_exponent,
     ratio_experiment,
@@ -19,7 +21,7 @@ from weylmax.experiment import (
     solution_scan,
 )
 from weylmax.poly import IntPolynomial, family_diagonal, family_power_laplacian
-from weylmax.weyl import weyl_table
+from weylmax.weyl import DeligneReport, weyl_table
 
 from sets import good_rows
 
@@ -126,6 +128,22 @@ def test_scan_quantiles_ordered():
     full = solution_scan(P_SQ, f, x, sample_budget=x.ball_count, seed=11)
     witness = x.balls().tolist().index([full.witness_q, *full.witness_b])
     assert full.values[witness] == full.sup_lb
+
+
+@pytest.mark.parametrize("record, field", [
+    (IntPolynomial(1, {(2,): 1}), "dim"),
+    (RationalPoint(b=(3,), q=17, delta=(0.0,)), "q"),
+    (MainErrorSplit(main=1j, error=0j, zhat0=0j, weyl_value=1j), "main"),
+    (MeasureResult(0.5, 0.0, "exact", 0.5, 0.5, 1), "estimate"),
+    (ExperimentConfig(), "seed"),
+    (ScanResult(1.0, 17, (3,), (0.0,), (1.0,), 1), "sup_lb"),
+    (FitResult(0.25, 0.0, 0.0, 3, 0.25), "slope"),
+    (DeligneReport(1.0, 2.0, True, 2.0, True), "ok"),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_immutable_records_refuse_assignment(record, field):
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
 
 def test_ratio_experiment_leaves_numpy_ma_unimported():

@@ -7,6 +7,7 @@ from weylmax.errors import InputError
 from weylmax.poly import (
     IntPolynomial,
     axis_parts,
+    distinct_parts,
     family_diagonal,
     family_power_laplacian,
     parse_polynomial,
@@ -102,6 +103,14 @@ def test_parse_examples():
     assert empty.degree() == 0 and empty.terms == {}
     dropped = parse_polynomial('{"d":1,"terms":[{"e":[2],"c":0},{"e":[1],"c":4}]}')
     assert dropped.terms == {(1,): 4}
+
+
+def test_polynomials_equal_by_value():
+    text = '{"d":2,"terms":[{"e":[2,0],"c":1},{"e":[0,2],"c":1}]}'
+    assert parse_polynomial(text) == parse_polynomial(text)
+    # equal axis parts share one transform
+    assert distinct_parts(axis_parts(parse_polynomial(text)))[1] == (0, 0)
+    assert repr(IntPolynomial(1, {(2,): 1, (1,): 0})) == "IntPolynomial(dim=1, terms={(2,): 1})"
 
 
 def test_parse_merges_duplicates():
